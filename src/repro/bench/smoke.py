@@ -130,28 +130,26 @@ def smoke_task(unit: Tuple[str, int, int, int], config: BenchConfig) -> SmokeRow
         # results computed above — the intra-graph sharding contract. One
         # layout serves all three kernels (multilevel partitioning is itself
         # MIS-2 coarsening, so rebuilding it per kernel would triple the cost).
-        from ..parallel.partitioned import build_partition_layout
-
-        layout = build_partition_layout(graph, config.parts)
-        pmis = kk_mis2(
-            graph,
-            seed=config.seed,
-            partitions=layout,
-            resident=config.resident,
-            changed_deltas=config.changed_deltas,
-            overlap=config.overlap,
+        from ..parallel.partitioned import (
+            build_partition_layout,
+            partitioned_greedy_color,
+            partitioned_kk_mis2,
         )
+
+        # The measurement modes (--no-resident, --full-halo, --no-overlap) are
+        # options of the partitioned drivers, not of the public kernels.
+        modes = {
+            "resident": config.resident,
+            "changed_deltas": config.changed_deltas,
+            "overlap": config.overlap,
+        }
+        layout = build_partition_layout(graph, config.parts)
+        pmis = partitioned_kk_mis2(graph, layout, seed=config.seed, **modes)
         if not (np.array_equal(pmis.in_set, mis.in_set) and pmis.iterations == mis.iterations):
             raise RuntimeError(
                 f"smoke check failed: partitioned MIS-2 diverged from the reference on {label}"
             )
-        pcoloring = greedy_color(
-            graph,
-            partitions=layout,
-            resident=config.resident,
-            changed_deltas=config.changed_deltas,
-            overlap=config.overlap,
-        )
+        pcoloring = partitioned_greedy_color(graph, layout, **modes)
         if not (
             np.array_equal(pcoloring.colors, coloring.colors)
             and pcoloring.rounds == coloring.rounds
@@ -161,16 +159,9 @@ def smoke_task(unit: Tuple[str, int, int, int], config: BenchConfig) -> SmokeRow
             )
         # pmis is already verified identical to mis, so reuse it for phase 1
         # (as the unpartitioned path reuses mis) — only the phase-2 sub-MIS
-        # still runs partitioned.
-        pagg = mis2_aggregation(
-            graph,
-            mis=pmis,
-            seed=config.seed,
-            partitions=layout,
-            resident=config.resident,
-            changed_deltas=config.changed_deltas,
-            overlap=config.overlap,
-        )
+        # still runs partitioned, in the default mode (its stats are not
+        # among the recorded counts).
+        pagg = mis2_aggregation(graph, mis=pmis, seed=config.seed, partitions=layout)
         if not (
             np.array_equal(pagg.labels, agg.labels)
             and pagg.num_aggregates == agg.num_aggregates

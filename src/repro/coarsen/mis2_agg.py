@@ -41,9 +41,6 @@ def mis2_aggregation(
     seed: int = 0,
     backend: "Optional[str | ExecutionBackend]" = None,
     partitions=None,
-    resident: bool = True,
-    changed_deltas: bool = True,
-    overlap: bool = True,
 ) -> Aggregation:
     """Coarsen ``graph`` with Algorithm 3 (the paper's "MIS2 Agg" scheme).
 
@@ -68,18 +65,6 @@ def mis2_aggregation(
         labels restricted to the unaggregated subgraph. Because the
         partitioned MIS driver is bit-identical to the unpartitioned kernel,
         the aggregation is too.
-    resident:
-        Only meaningful with ``partitions``: forwarded to the partitioned
-        MIS-2 computations (rank-resident execution by default; the
-        re-ship-everything baseline with ``False``).
-    changed_deltas:
-        Only meaningful with ``partitions``: forwarded to the partitioned
-        MIS-2 computations (changed-only halo deltas by default; the
-        full-halo wire format with ``False``).
-    overlap:
-        Only meaningful with ``partitions``: forwarded to the partitioned
-        MIS-2 computations (overlapped boundary/interior schedule by
-        default; the barrier schedule with ``False``).
     """
     B = resolve_backend(backend)
     n = graph.num_vertices
@@ -89,15 +74,7 @@ def mis2_aggregation(
 
         layout = build_partition_layout(graph, partitions)
     if mis is None:
-        mis = kk_mis2(
-            graph,
-            seed=seed,
-            backend=B,
-            partitions=layout,
-            resident=resident,
-            changed_deltas=changed_deltas,
-            overlap=overlap,
-        )
+        mis = kk_mis2(graph, seed=seed, backend=B, partitions=layout)
     roots = np.asarray(mis.in_set, dtype=np.int64)
     labels = -np.ones(n, dtype=np.int64)
     if n == 0:
@@ -123,9 +100,6 @@ def mis2_aggregation(
             seed=seed,
             backend=B,
             partitions=None if layout is None else layout.labels[mapping],
-            resident=resident,
-            changed_deltas=changed_deltas,
-            overlap=overlap,
         )
         candidates = mapping[sub_mis.in_set]
         # Count each candidate root's unaggregated neighbours against the phase-1

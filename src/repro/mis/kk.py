@@ -76,9 +76,6 @@ def kk_mis2(
     seed: int = 0,
     backend: "Optional[str | ExecutionBackend]" = None,
     partitions=None,
-    resident: bool = True,
-    changed_deltas: bool = True,
-    overlap: bool = True,
 ) -> MISResult:
     """Compute a distance-2 maximal independent set with Algorithm 1.
 
@@ -116,26 +113,6 @@ def kk_mis2(
         partition-parallel driver is bit-identical to the unpartitioned kernel
         for any value (and any backend); ``result.partition_stats`` records the
         layout, ghost-exchange and shipped-bytes counts.
-    resident:
-        Only meaningful with ``partitions``: ``True`` (default) runs the
-        rank-resident execution path (each part's CSR ships to its pinned
-        worker once, supersteps exchange only halo deltas); ``False`` runs
-        the non-resident baseline that re-ships every part each superstep.
-        Results are bit-identical either way.
-    changed_deltas:
-        Only meaningful with ``partitions``: ``True`` (default) ships each
-        part only the halo values changed since its last refresh and sends
-        each iteration's worklist indices once (stashed worker-side for the
-        later phases); ``False`` keeps the full-halo wire format that ships
-        whole halos and re-sends worklists every phase. Results are
-        bit-identical either way — only the shipped-bytes accounting differs.
-    overlap:
-        Only meaningful with ``partitions`` and ``resident=True``: ``True``
-        (default) runs the overlapped schedule that splits each superstep
-        into boundary and interior sub-phases so the next phase's deltas
-        ship while workers compute; ``False`` keeps the barrier schedule.
-        Results, supersteps and shipped-byte counts are identical either
-        way — only wall-clock differs.
 
     Returns
     -------
@@ -145,18 +122,19 @@ def kk_mis2(
     if partitions is not None:
         from ..parallel.partitioned import partitioned_kk_mis2
 
+        if not use_worklists:
+            raise ValueError(
+                "partitioned execution always maintains per-part worklists; "
+                "use partitions=None for the use_worklists=False ablation"
+            )
         return partitioned_kk_mis2(
             graph,
             partitions,
             priority_scheme=priority_scheme,
-            use_worklists=use_worklists,
             simd=simd,
             word_bits=word_bits,
             seed=seed,
             backend=backend,
-            resident=resident,
-            changed_deltas=changed_deltas,
-            overlap=overlap,
         )
     scheme = PriorityScheme.coerce(priority_scheme)
     B = resolve_backend(backend)

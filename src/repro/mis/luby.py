@@ -37,9 +37,6 @@ def luby_mis1(
     seed: int = 0,
     backend: "Optional[str | ExecutionBackend]" = None,
     partitions=None,
-    resident: bool = True,
-    changed_deltas: bool = True,
-    overlap: bool = True,
 ) -> MISResult:
     """Compute a distance-1 maximal independent set with Luby's Algorithm A.
 
@@ -59,18 +56,6 @@ def luby_mis1(
         When not ``None``, shard the run within the graph (part count, label
         array or layout); the partition-parallel driver is bit-identical to
         the unpartitioned kernel.
-    resident:
-        Only meaningful with ``partitions``: rank-resident execution
-        (default) vs the re-ship-everything baseline; results are
-        bit-identical either way.
-    changed_deltas:
-        Only meaningful with ``partitions``: changed-only halo deltas with
-        once-per-round worklist shipment (default) vs the full-halo wire
-        format; results are bit-identical either way.
-    overlap:
-        Only meaningful with ``partitions`` and ``resident=True``: the
-        overlapped boundary/interior schedule (default) vs the barrier
-        schedule; results and shipped-byte counts are identical either way.
     """
     if partitions is not None:
         from ..parallel.partitioned import partitioned_luby_mis1
@@ -81,9 +66,6 @@ def luby_mis1(
             priority_scheme=priority_scheme,
             seed=seed,
             backend=backend,
-            resident=resident,
-            changed_deltas=changed_deltas,
-            overlap=overlap,
         )
     scheme = PriorityScheme.coerce(priority_scheme)
     B = resolve_backend(backend)

@@ -1,21 +1,20 @@
 """Partition-parallel execution: shard the graph kernels *within* one graph.
 
-PR 1/2 shard only *across* graphs (``ExecutionBackend.map_graphs`` fans a batch
-of independent graphs over a pool). This module shards *one* graph: the vertex
-set is split into ``k`` parts (with :func:`repro.partition.multilevel_kway` by
-default), each part owns its vertices plus read-only *ghost* copies of the
-neighbours it can see in other parts, and every iteration of the randomized
-MIS / coloring kernels runs as a bulk-synchronous superstep:
+The vertex set is split into ``k`` parts (with
+:func:`repro.partition.multilevel_kway` by default); each part owns its
+vertices plus read-only *ghost* copies of the neighbours it can see in other
+parts, and every iteration of the randomized MIS / coloring kernels runs as
+bulk-synchronous supersteps:
 
-1. every part computes the iteration's phase for the vertices it owns — an
-   **interior** vertex (all neighbours owned) needs purely local data, a
-   **boundary** vertex additionally reads the ghost values refreshed by the
-   previous exchange;
+1. every part computes the phase for the vertices it owns — an **interior**
+   vertex (all neighbours owned) needs purely local data, a **boundary**
+   vertex additionally reads the ghost values refreshed by the previous
+   exchange;
 2. a deterministic **ghost exchange** scatters the owned results back into the
    shared state and re-gathers each part's halo before the next phase.
 
-The determinism rule that makes this work: each phase task is a *pure function
-of the pre-superstep snapshot* and writes only part-owned vertices, and the
+The determinism rule that makes this work: each phase is a *pure function of
+the pre-superstep snapshot* and writes only part-owned vertices, and the
 per-vertex update applied is exactly the unpartitioned kernel's update.
 Boundary vertices are therefore resolved by the same fixup recurrence the
 serial kernel applies, just evaluated shard-wise — so the final MIS / coloring
@@ -23,6 +22,46 @@ is **bit-identical to the unpartitioned NumPy reference for any part count,
 any part labelling and any execution backend** (the partition-equivalence test
 matrix enforces exactly this). Part quality (edge cut, boundary size) affects
 only the exchange volume, never the result.
+
+The superstep engine
+--------------------
+Algorithm 1 is one fixed sequence of data-parallel phases over worklists, and
+so are Luby's Algorithm A and speculative greedy coloring. Each kernel is
+therefore a *phase table* — one :class:`_Phase` row per phase — run by one
+driver, :func:`_run_supersteps`, through one worker task,
+:func:`_phase_task`. A row gives the phase's worker-side compute, the ghost
+arrays it reads, its worklist and whether the indices ship or come from the
+worker stash, what it writes and when the write commits, how the
+coordinator scatters its reply, the ghost exchange charged after it, and the
+worklists compacted (owner-locally, coordinator-side) once it has landed.
+
+``partitioned_kk_mis2``, mapped to Algorithm 1::
+
+    phase           Algorithm 1     ghost reads  worklist          writes  commit
+    refresh_row     Refresh Row     -            w1: ship, stash   T       at once
+    refresh_column  Refresh Column  T            w2: ship          M       at once
+    decide          Decide          M            w1: from stash    T       at once
+    (decide)        compaction      w1 keeps undecided T, w2 keeps M != OUT
+
+``partitioned_luby_mis1`` (select and remove then compact ``cand`` to its
+undecided vertices; remove narrows its stash the same way, worker-side)::
+
+    phase       ghost reads       worklist            writes         commit
+    priorities  -                 cand: ship, stash   priority       at once
+    select      status, priority  cand: from stash    status := IN   in the interior half
+    remove      status            cand: from stash    status := OUT  at once
+
+``partitioned_greedy_color`` (conflict then compacts ``wl`` to the vertices
+it uncolored)::
+
+    phase     ghost reads  worklist          writes        commit
+    assign    colors       wl: ship, stash   colors        in the interior half
+    conflict  colors       wl: from stash    colors := -1  in the interior half
+
+Only the driver handles the live-part filter (a part whose worklist is empty
+skips the phase), the boundary/interior split, barrier vs overlapped
+submission, the halo delta format, scatter/mark, superstep counting and
+:class:`PartitionStats`.
 
 ``ExecutionBackend.map_partitions_resident`` is the seam the supersteps run
 through: each kernel run opens a rank-resident session that ships every
@@ -34,50 +73,48 @@ coordinator-side :class:`HaloDeltaTracker` records which owned values each
 phase actually modified (the phase results are exactly the touched entries)
 and ships each part only the halo positions changed since its last refresh,
 as ``(positions, values)`` pairs with a dense fallback; each iteration's
-worklist indices ship once, with the iteration's first phase, and are
-stashed in worker-side ``state`` for the later phases that re-read them. The
-session is in-process on the reference and threaded backends and pins part
-``i`` to a persistent slot worker on the chunked backend (payloads cached
-under the layout token, so even reruns skip the CSR pickle);
-``resident=False`` selects the non-resident baseline that re-ships
-payload+state every superstep through plain ``map_partitions``, and
-``changed_deltas=False`` the full-halo wire format (whole halos, worklists
-re-sent per phase) kept runnable so the changed-delta win stays gateable.
-The distributed backend (:mod:`repro.parallel.distributed`) runs the same
-session over sockets — parts pinned to rank processes, the delta exchange
-carried as framed messages with measured on-the-wire byte counters — and
-the drivers here don't change, which is exactly what this seam is for.
-Shipped bytes are accounted logically (array ``nbytes``, identical
-on every backend), in **both directions** — deltas out, result arrays back —
-and recorded on ``PartitionStats``.
+worklist indices ship once, with the phase that stashes them in worker-side
+``state`` for the later phases that re-read them. Every backend implements
+the same session — in-process, pinned slot workers, or rank processes over
+sockets (:mod:`repro.parallel.distributed`) — and the engine does not
+change, which is exactly what this seam is for. Shipped bytes are accounted
+logically (array ``nbytes``, identical on every backend), in **both
+directions** — deltas out, result arrays back — and recorded on
+``PartitionStats``.
 
-``overlap=True`` (the default on resident runs) breaks the per-phase barrier:
-each superstep phase splits into a *boundary* sub-phase (the owned vertices
-with foreign neighbours, carrying all halo updates and scalars) and an
-*interior* sub-phase (a bare sub-worklist), submitted back-to-back through
-:meth:`ResidentSession.run_async` so the next phase's deltas ship while
-workers still chew interior worklists. Determinism survives because an
-interior vertex appears in **no other part's halo** — marking only boundary
-changes before a ``take`` dirties exactly the same positions as the barrier
-schedule — and because sessions execute each part's sub-phases FIFO, so a
-phase that reads owned values written by the previous phase's interior
-sub-task always runs after it. Phases whose writes could feed a sibling
-sub-phase's reads (Luby selection, coloring assignment/conflict) defer their
-state commits to the interior sub-task, keeping both halves pure functions
-of the pre-superstep snapshot. Sub-phase pairs share one accounting group,
-so supersteps, shipped bytes and the per-superstep maximum are identical to
-the barrier baseline — only wall-clock differs, which is what the
-``--no-overlap`` bench baseline gates.
+The default schedule is **overlapped**: each phase splits into a *boundary*
+half (the owned vertices with foreign neighbours, carrying all halo updates
+and scalars) and an *interior* half (a bare sub-worklist), submitted
+back-to-back through :meth:`ResidentSession.run_async` so the next phase's
+deltas ship while workers still chew interior worklists. Determinism
+survives because an interior vertex appears in **no other part's halo** —
+marking only boundary changes before a ``take`` dirties exactly the same
+positions as the barrier schedule — and because sessions execute each part's
+tasks FIFO, so a phase that reads owned values written by the previous
+phase's interior half always runs after it. Phases whose writes could feed a
+sibling half's reads defer their boundary commits to the interior half,
+keeping both halves pure functions of the pre-superstep snapshot. The halves
+share one accounting group, so supersteps, shipped bytes and the
+per-superstep maximum are identical to the barrier schedule — only
+wall-clock differs.
+
+The three ``partitioned_*`` drivers keep the older modes runnable as CI
+baselines: ``resident=False`` re-ships payload+state every superstep through
+plain ``map_partitions``, ``changed_deltas=False`` selects the full-halo wire
+format (whole halos, worklists re-sent per phase) and ``overlap=False`` the
+barrier schedule. The public kernels (``kk_mis2(partitions=...)`` and
+friends) always run the default mode.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -85,7 +122,7 @@ from ..graph.csr import CSRGraph
 from ..hashing.packing import TuplePacking
 from ..hashing.priorities import PriorityScheme
 from . import primitives as _ref
-from .backends import ExecutionBackend, ResidentSession, resolve_backend
+from .backends import ExecutionBackend, PhaseFuture, ResidentSession, resolve_backend
 from .costmodel import TrafficCounter
 
 __all__ = [
@@ -591,27 +628,19 @@ class HaloDeltaTracker:
         return (positions, values[halo[positions]])
 
 
-# --------------------------------------------- resident superstep task functions
+# ------------------------------------------------------------ phase computes
 #
-# Module-level and picklable: they cross the chunked backend's pinned slot
-# pools. Each task function has the resident signature ``fn(payload, state,
-# delta)`` — ``payload`` is the part's loop-invariant shipment (local CSR,
-# index maps, static kernel parameters; shipped once per run, cached across
-# runs under the layout token), ``state`` the part's retained per-vertex
-# arrays over the local space (the task keeps its *owned* entries current and
-# refreshes the *halo* entries from the delta's halo updates), and ``delta``
-# the per-superstep shipment: changed-only halo updates, the iteration's
-# worklist indices (first phase only) and phase scalars.
-#
-# Worklist residency: the first phase of each kernel iteration receives the
-# iteration's worklist indices and *stashes them in state*; the later phases
-# of the same iteration that re-read the same worklist receive ``None`` in
-# that delta slot and use the stash (under the full-halo protocol the indices
-# are re-sent and the stash is ignored) — the coordinator never pays twice
-# for indices a worker already holds. The per-vertex arithmetic is copied
-# verbatim from the unpartitioned kernels, which is what makes the drivers
-# bit-identical to them; every task computes from the pre-superstep snapshot
-# first and mutates ``state`` last.
+# The per-vertex arithmetic of each phase, copied verbatim from the
+# unpartitioned kernels (which is what makes the engine bit-identical to
+# them). Every compute has the signature ``compute(payload, state, local,
+# scalar) -> out`` and is a *pure read* of the part's snapshot: the worker
+# task (:func:`_phase_task`) decides when its writes land, so a phase whose
+# writes could leak into a sibling half's reads can defer them. ``payload``
+# is the part's loop-invariant shipment (local CSR, index maps, static kernel
+# parameters; shipped once per run, cached across runs under the layout
+# token), ``state`` its retained per-vertex arrays over the local space,
+# ``local`` the phase's local worklist and ``scalar`` the iteration counter
+# (for the phases that ship one).
 
 
 def _resident_payload(part: GraphPart, **extra) -> Dict:
@@ -626,38 +655,34 @@ def _resident_payload(part: GraphPart, **extra) -> Dict:
     return payload
 
 
-def _kk_refresh_row_compute(payload, state, w1_local, iteration):
+def _kk_refresh_row(payload, state, local, iteration):
     from ..mis.kk import _priorities_for
 
     scheme = PriorityScheme.coerce(payload["scheme"])
     packer = TuplePacking(payload["n"], word_bits=payload["word_bits"])
-    vertices = payload["ids"][w1_local]
+    vertices = payload["ids"][local]
     prios = _priorities_for(scheme, iteration, vertices, payload["n"], payload["seed"])
-    out = packer.pack(prios.astype(packer.dtype), vertices)
-    state["T"][w1_local] = out
-    return out
+    return packer.pack(prios.astype(packer.dtype), vertices)
 
 
-def _kk_refresh_column_compute(payload, state, w2_local):
+def _kk_refresh_column(payload, state, local, _scalar):
     T = state["T"]
     packer = TuplePacking(payload["n"], word_bits=payload["word_bits"])
     IN, OUT = packer.in_value, packer.out_value
-    slots, seg = _ref.expand_rows(payload["rowmap"], w2_local)
+    slots, seg = _ref.expand_rows(payload["rowmap"], local)
     min_nbr = _ref.segmented_min(T[payload["entries"][slots]], seg, identity=OUT)
-    Mv = np.minimum(min_nbr, T[w2_local])
-    out = np.where(Mv == IN, OUT, Mv)
-    state["M"][w2_local] = out
-    return out
+    Mv = np.minimum(min_nbr, T[local])
+    return np.where(Mv == IN, OUT, Mv)
 
 
-def _kk_decide_compute(payload, state, w1_local):
+def _kk_decide(payload, state, local, _scalar):
     T, M = state["T"], state["M"]
     packer = TuplePacking(payload["n"], word_bits=payload["word_bits"])
     IN, OUT = packer.in_value, packer.out_value
-    slots, seg = _ref.expand_rows(payload["rowmap"], w1_local)
+    slots, seg = _ref.expand_rows(payload["rowmap"], local)
     nbr_M = M[payload["entries"][slots]]
-    Tw = T[w1_local]
-    Mw = M[w1_local]
+    Tw = T[local]
+    Mw = M[local]
     any_out = _ref.segmented_any_equal(nbr_M, OUT, seg) | (Mw == OUT)
     all_match = _ref.segmented_all_equal(nbr_M, Tw, seg) & (Mw == Tw)
     undecided = packer.is_undecided(Tw)
@@ -666,349 +691,244 @@ def _kk_decide_compute(payload, state, w1_local):
     newT = Tw.copy()
     newT[to_out] = OUT
     newT[to_in] = IN
-    state["T"][w1_local] = newT
     return newT
 
 
-def _kk_resident_refresh_row(payload, state, delta):
-    w1_local, iteration = delta
-    state["w1"] = w1_local
-    return _kk_refresh_row_compute(payload, state, w1_local, iteration)
+#: The partitioned Luby driver's status codes (the flat kernel's encoding;
+#: they also ship in every part's payload).
+_LUBY_IN, _LUBY_UNDECIDED, _LUBY_OUT = np.uint8(0), np.uint8(1), np.uint8(2)
 
 
-def _kk_resident_refresh_column(payload, state, delta):
-    w2_local, T_update = delta
-    _apply_halo_update(state["T"], payload["halo_local"], T_update)
-    return _kk_refresh_column_compute(payload, state, w2_local)
-
-
-def _kk_resident_decide(payload, state, delta):
-    w1_local, M_update = delta
-    if w1_local is None:
-        w1_local = state["w1"]
-    _apply_halo_update(state["M"], payload["halo_local"], M_update)
-    return _kk_decide_compute(payload, state, w1_local)
-
-
-def _luby_priorities_compute(payload, state, cand_local, rounds):
+def _luby_priorities(payload, state, local, rounds):
     from ..hashing.priorities import fixed_priorities
     from ..hashing.xorshift import hash_iter_vertex
 
     scheme = PriorityScheme.coerce(payload["scheme"])
-    vertices = payload["ids"][cand_local]
+    vertices = payload["ids"][local]
     if scheme is PriorityScheme.FIXED:
-        out = fixed_priorities(payload["n"], seed=payload["seed"])[vertices]
-    else:
-        out = hash_iter_vertex(rounds, vertices, star=(scheme is PriorityScheme.XORSTAR))
-    state["priority"][cand_local] = out
-    return out
+        return fixed_priorities(payload["n"], seed=payload["seed"])[vertices]
+    return hash_iter_vertex(rounds, vertices, star=(scheme is PriorityScheme.XORSTAR))
 
 
-def _luby_select_compute(payload, state, cand_local):
-    """Winner selection over ``cand_local`` from the current snapshot.
-
-    Pure read — returns the winning *local* indices without touching
-    ``status``, so the overlap schedule can evaluate both sub-phases against
-    the same pre-superstep snapshot before committing.
-    """
+def _luby_select(payload, state, local, _scalar):
+    """The winning *local* indices among the candidates ``local``."""
     status, prio = state["status"], state["priority"]
     ids = payload["ids"]
     prio_max = np.uint64(np.iinfo(np.uint64).max)
     id_max = np.int64(np.iinfo(np.int64).max)
-    slots, seg = _ref.expand_rows(payload["rowmap"], cand_local)
+    slots, seg = _ref.expand_rows(payload["rowmap"], local)
     nbr = payload["entries"][slots]
     nbr_undecided = status[nbr] == payload["undecided"]
     nbr_prio = np.where(nbr_undecided, prio[nbr], prio_max)
     nbr_id = np.where(nbr_undecided, ids[nbr], id_max)
     min_p, min_i = _ref.segmented_lexmin([nbr_prio, nbr_id], seg, [prio_max, id_max])
-    own = prio[cand_local]
-    cand_global = ids[cand_local]
-    own_better = (own < min_p) | ((own == min_p) & (cand_global < min_i))
-    return cand_local[own_better]
+    own = prio[local]
+    own_better = (own < min_p) | ((own == min_p) & (ids[local] < min_i))
+    return local[own_better]
 
 
-def _luby_remove_compute(payload, state, remaining_local):
+def _luby_remove(payload, state, local, _scalar):
+    """Mask over ``local``: the undecided vertices with a neighbour just IN."""
     status = state["status"]
-    slots, seg = _ref.expand_rows(payload["rowmap"], remaining_local)
-    losers = np.asarray(
-        _ref.segmented_any_equal(
-            status[payload["entries"][slots]], payload["in_value"], seg
-        ),
+    slots, seg = _ref.expand_rows(payload["rowmap"], local)
+    return np.asarray(
+        _ref.segmented_any_equal(status[payload["entries"][slots]], payload["in_value"], seg),
         dtype=bool,
     )
-    status[remaining_local[losers]] = payload["out_value"]
-    return losers
 
 
-def _luby_resident_priorities(payload, state, delta):
-    cand_local, rounds = delta
-    state["cand"] = cand_local
-    return _luby_priorities_compute(payload, state, cand_local, rounds)
+def _luby_still_undecided(payload, state, local):
+    # The select phase set this part's winners IN worker-side, so the stashed
+    # candidates filter to the coordinator's compacted worklist without any
+    # indices crossing the boundary.
+    return state["status"][local] == payload["undecided"]
 
 
-def _luby_resident_select(payload, state, delta):
-    cand_local, status_update, prio_update = delta
-    if cand_local is None:
-        cand_local = state["cand"]
-    halo_local = payload["halo_local"]
-    _apply_halo_update(state["status"], halo_local, status_update)
-    _apply_halo_update(state["priority"], halo_local, prio_update)
-    winners_local = _luby_select_compute(payload, state, cand_local)
-    state["status"][winners_local] = payload["in_value"]
-    return payload["ids"][winners_local]
-
-
-def _luby_resident_remove(payload, state, delta):
-    remaining_local, status_update = delta
-    status = state["status"]
-    _apply_halo_update(status, payload["halo_local"], status_update)
-    if remaining_local is None:
-        # The select phase set this part's winners IN worker-side, so the
-        # stashed candidate list filters to the coordinator's `remaining`
-        # without any indices crossing the boundary.
-        cand_local = state["cand"]
-        remaining_local = cand_local[status[cand_local] == payload["undecided"]]
-    return _luby_remove_compute(payload, state, remaining_local)
-
-
-def _color_assign_compute(payload, state, wl_local):
-    """Speculative colors for ``wl_local`` from the current snapshot — pure
-    read; the caller decides when the writes land (immediately on the barrier
-    path, deferred to the interior sub-phase on the overlap path)."""
+def _color_assign(payload, state, local, _scalar):
+    """Speculative colors for ``local``: the smallest color no neighbour has."""
     colors = state["colors"]
-    slots, seg = _ref.expand_rows(payload["rowmap"], wl_local)
+    slots, seg = _ref.expand_rows(payload["rowmap"], local)
     nbr_colors = colors[payload["entries"][slots]]
-    owner = np.repeat(np.arange(wl_local.size, dtype=np.int64), np.diff(seg))
+    owner = np.repeat(np.arange(local.size, dtype=np.int64), np.diff(seg))
     max_colors = payload["max_colors"]
-    forbidden = np.zeros((wl_local.size, max_colors + 1), dtype=bool)
+    forbidden = np.zeros((local.size, max_colors + 1), dtype=bool)
     valid = nbr_colors >= 0
     forbidden[owner[valid], np.minimum(nbr_colors[valid], max_colors)] = True
     return np.argmin(forbidden, axis=1).astype(np.int64)
 
 
-def _color_conflict_compute(payload, state, wl_local):
-    """Conflict losers among ``wl_local`` from the current snapshot — pure
-    read, same deferred-commit contract as :func:`_color_assign_compute`."""
+def _color_conflict(payload, state, local, _scalar):
+    """Local indices of the conflict losers (higher global id of a
+    same-color edge) among ``local``."""
     colors = state["colors"]
     ids = payload["ids"]
-    slots, seg = _ref.expand_rows(payload["rowmap"], wl_local)
+    slots, seg = _ref.expand_rows(payload["rowmap"], local)
     nbr = payload["entries"][slots]
     lens = np.diff(seg)
-    owners_local = np.repeat(wl_local, lens)
-    owners_global = np.repeat(ids[wl_local], lens)
+    owners_local = np.repeat(local, lens)
+    owners_global = np.repeat(ids[local], lens)
     conflict = (colors[owners_local] == colors[nbr]) & (owners_global > ids[nbr])
     return np.unique(owners_local[conflict])
 
 
-def _color_resident_assign(payload, state, delta):
-    wl_local, colors_update = delta
-    state["wl"] = wl_local
-    colors = state["colors"]
-    _apply_halo_update(colors, payload["halo_local"], colors_update)
-    out = _color_assign_compute(payload, state, wl_local)
-    colors[wl_local] = out
-    return out
+# ---------------------------------------------------------------- phase tables
+@dataclass(frozen=True)
+class _Phase:
+    """One row of a kernel's phase table: a data-parallel step over a worklist.
 
-
-def _color_resident_conflict(payload, state, delta):
-    wl_local, colors_update = delta
-    if wl_local is None:
-        wl_local = state["wl"]
-    colors = state["colors"]
-    _apply_halo_update(colors, payload["halo_local"], colors_update)
-    losers_local = _color_conflict_compute(payload, state, wl_local)
-    colors[losers_local] = -1
-    return payload["ids"][losers_local]
-
-
-# ----------------------------------------- overlapped sub-phase task functions
-#
-# The overlap schedule splits every superstep phase into a *boundary* and an
-# *interior* sub-task per part. Conventions, relied on by the drivers:
-#
-# - the boundary sub-task carries everything that crosses the halo seam —
-#   halo updates and the phase's explicit worklist indices under the
-#   full-halo protocol — and always ships, even with an empty sub-worklist,
-#   because its halo update must land to keep the tracker's "worker halo is
-#   current after take" invariant;
-# - the interior sub-task's delta is the bare interior sub-worklist; any
-#   scalar the compute needs (iteration / round counter) rides with the
-#   boundary half only and is stashed worker-side, because
-#   ``shipped_nbytes`` charges scalars too and shipping one twice would
-#   break the overlap-vs-barrier shipped-byte equality;
-# - sessions run each part's sub-tasks FIFO, so the interior sub-task may
-#   read boundary stashes from the same superstep, and phases whose writes
-#   would leak into a sibling's snapshot (Luby select, coloring assign /
-#   conflict) stash their boundary writes under a ``_ov_pending*`` state key
-#   and commit them in the interior sub-task, after both halves computed.
-
-
-def _kk_overlap_refresh_row_boundary(payload, state, delta):
-    w1_local, iteration = delta
-    state["w1b"] = w1_local
-    state["_ov_iter"] = iteration
-    return _kk_refresh_row_compute(payload, state, w1_local, iteration)
-
-
-def _kk_overlap_refresh_row_interior(payload, state, delta):
-    # Bare sub-worklist: the iteration scalar rode with the boundary half
-    # (FIFO — it already ran on this part) so the split ships exactly the
-    # barrier phase's bytes.
-    w1_local = delta
-    state["w1i"] = w1_local
-    return _kk_refresh_row_compute(payload, state, w1_local, state["_ov_iter"])
-
-
-def _kk_overlap_refresh_column_boundary(payload, state, delta):
-    w2_local, T_update = delta
-    _apply_halo_update(state["T"], payload["halo_local"], T_update)
-    return _kk_refresh_column_compute(payload, state, w2_local)
-
-
-def _kk_overlap_refresh_column_interior(payload, state, delta):
-    # Interior vertices have no ghost neighbours; their owned T reads were
-    # refreshed by this part's Refresh Row sub-tasks (FIFO order).
-    return _kk_refresh_column_compute(payload, state, delta)
-
-
-def _kk_overlap_decide_boundary(payload, state, delta):
-    w1_local, M_update = delta
-    if w1_local is None:
-        w1_local = state["w1b"]
-    _apply_halo_update(state["M"], payload["halo_local"], M_update)
-    return _kk_decide_compute(payload, state, w1_local)
-
-
-def _kk_overlap_decide_interior(payload, state, delta):
-    w1_local = state["w1i"] if delta is None else delta
-    # Decide reads only its own T/M rows and neighbour M values; the
-    # boundary sub-task writes T rows disjoint from these, so no deferral.
-    return _kk_decide_compute(payload, state, w1_local)
-
-
-def _luby_overlap_priorities_boundary(payload, state, delta):
-    cand_local, rounds = delta
-    state["cand_b"] = cand_local
-    state["_ov_rounds"] = rounds
-    return _luby_priorities_compute(payload, state, cand_local, rounds)
-
-
-def _luby_overlap_priorities_interior(payload, state, delta):
-    # Bare sub-worklist; the round scalar rode with the boundary half (FIFO).
-    cand_local = delta
-    state["cand_i"] = cand_local
-    return _luby_priorities_compute(payload, state, cand_local, state["_ov_rounds"])
-
-
-def _luby_overlap_select_boundary(payload, state, delta):
-    cand_local, status_update, prio_update = delta
-    if cand_local is None:
-        cand_local = state["cand_b"]
-    halo_local = payload["halo_local"]
-    _apply_halo_update(state["status"], halo_local, status_update)
-    _apply_halo_update(state["priority"], halo_local, prio_update)
-    winners_local = _luby_select_compute(payload, state, cand_local)
-    # Selection reads neighbour statuses, so committing IN here would leak
-    # into the interior sub-task's snapshot — defer to the interior commit.
-    state["_ov_pending_in"] = winners_local
-    return payload["ids"][winners_local]
-
-
-def _luby_overlap_select_interior(payload, state, delta):
-    cand_local = state["cand_i"] if delta is None else delta
-    winners_local = _luby_select_compute(payload, state, cand_local)
-    status = state["status"]
-    status[state.pop("_ov_pending_in")] = payload["in_value"]
-    status[winners_local] = payload["in_value"]
-    return payload["ids"][winners_local]
-
-
-def _luby_overlap_remove_boundary(payload, state, delta):
-    remaining_local, status_update = delta
-    status = state["status"]
-    _apply_halo_update(status, payload["halo_local"], status_update)
-    if remaining_local is None:
-        cand_local = state["cand_b"]
-        remaining_local = cand_local[status[cand_local] == payload["undecided"]]
-    # Removal reads `== IN` and writes OUT to previously-undecided vertices,
-    # so its commits cannot alter the sibling sub-task's reads: no deferral.
-    return _luby_remove_compute(payload, state, remaining_local)
-
-
-def _luby_overlap_remove_interior(payload, state, delta):
-    status = state["status"]
-    if delta is None:
-        cand_local = state["cand_i"]
-        remaining_local = cand_local[status[cand_local] == payload["undecided"]]
-    else:
-        remaining_local = delta
-    return _luby_remove_compute(payload, state, remaining_local)
-
-
-def _color_overlap_assign_boundary(payload, state, delta):
-    wl_local, colors_update = delta
-    state["wl_b"] = wl_local
-    _apply_halo_update(state["colors"], payload["halo_local"], colors_update)
-    out = _color_assign_compute(payload, state, wl_local)
-    # Assignment reads neighbour colors, owned ones included — defer the
-    # write so the interior sub-task sees the pre-superstep snapshot.
-    state["_ov_pending_colors"] = out
-    return out
-
-
-def _color_overlap_assign_interior(payload, state, delta):
-    wl_local = delta
-    state["wl_i"] = wl_local
-    out = _color_assign_compute(payload, state, wl_local)
-    colors = state["colors"]
-    colors[state["wl_b"]] = state.pop("_ov_pending_colors")
-    colors[wl_local] = out
-    return out
-
-
-def _color_overlap_conflict_boundary(payload, state, delta):
-    wl_local, colors_update = delta
-    if wl_local is None:
-        wl_local = state["wl_b"]
-    _apply_halo_update(state["colors"], payload["halo_local"], colors_update)
-    losers_local = _color_conflict_compute(payload, state, wl_local)
-    # Conflict detection compares both endpoints' colors — resetting a
-    # boundary loser to -1 here would erase conflicts the interior sub-task
-    # must still see, so the -1 writes are deferred like the assignments.
-    state["_ov_pending_losers"] = losers_local
-    return payload["ids"][losers_local]
-
-
-def _color_overlap_conflict_interior(payload, state, delta):
-    wl_local = state["wl_i"] if delta is None else delta
-    losers_local = _color_conflict_compute(payload, state, wl_local)
-    colors = state["colors"]
-    colors[state.pop("_ov_pending_losers")] = -1
-    colors[losers_local] = -1
-    return payload["ids"][losers_local]
-
-
-# ------------------------------------------------------------------- drivers
-def _live(worklists: List[np.ndarray]) -> List[int]:
-    """Indices of the parts with a non-empty worklist (no-op parts are skipped)."""
-    return [i for i, w in enumerate(worklists) if w.size]
-
-
-def _split_interior(
-    part: GraphPart, vertices: np.ndarray, local: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split an owned worklist into its boundary and interior sub-worklists.
-
-    ``vertices`` are part-owned global ids with ``local`` their local indices
-    (element-aligned). Returns ``(boundary, boundary_local, interior,
-    interior_local)`` — both splits preserve the input order, so barrier and
-    overlap schedules enumerate the same vertices in the same order.
+    A phase pickles as a reference to its ``name`` (see :meth:`__reduce__`),
+    so the one worker task crosses a process or socket boundary as a
+    ``partial(_phase_task, phase, half)`` of a few dozen bytes.
     """
-    mask = part.interior_local[local]
-    outside = ~mask
-    return vertices[outside], local[outside], vertices[mask], local[mask]
+
+    #: Unique ``"<kernel>.<phase>"`` name.
+    name: str
+    #: Worker-side ``compute(payload, state, local, scalar) -> out`` (pure read).
+    compute: Callable
+    #: The per-vertex array the phase writes, worker state and coordinator alike.
+    writes: str
+    #: The coordinator worklist the phase runs over (also its stash key).
+    worklist: str
+    #: Ghost arrays whose halo updates ship with the phase, in delta order.
+    reads: Tuple[str, ...] = ()
+    #: ``"ship"``: the local indices ship every time; ``"ship+stash"``: they
+    #: ship once per iteration and the worker stashes them; ``"stashed"``: the
+    #: worker reads the stash (they ship only in the full-halo format).
+    indices: str = "ship"
+    #: Worker-side filter for a stash the coordinator has compacted since it
+    #: shipped; returns a mask over the stashed indices.
+    narrow: Optional[Callable] = None
+    #: Whether the iteration counter ships as the phase's scalar.
+    scalar: bool = False
+    #: What the worker returns and the coordinator scatters: ``"values"``
+    #: aligned with the worklist, ``"ids"`` (global ids set to ``fill``) or
+    #: ``"mask"`` (over the worklist, selected entries set to ``fill``).
+    reply: str = "values"
+    fill: Any = None
+    #: Whether the boundary half's writes wait for the interior half — set
+    #: where they would otherwise leak into the sibling half's reads.
+    defer: bool = False
+    #: Whether the written array is re-ghosted after the phase; the exchange
+    #: is charged to the traffic model over the next phase's live parts.
+    exchange: bool = False
+    #: Worklists re-filtered, owner-locally, once the phase has fully landed.
+    compacts: Tuple[str, ...] = ()
+
+    def __reduce__(self):
+        return (_phase_named, (self.name,))
 
 
+#: Algorithm 1: Refresh Row, Refresh Column, Decide, then compaction. No
+#: phase defers: a half reads only owned rows its sibling does not write
+#: (Decide writes its own T rows) and rows written by earlier phases, which
+#: per-part FIFO has already run.
+_KK_PHASES = (
+    _Phase("kk.refresh_row", _kk_refresh_row, "T", "w1",
+           indices="ship+stash", scalar=True, exchange=True),
+    _Phase("kk.refresh_column", _kk_refresh_column, "M", "w2",
+           reads=("T",), exchange=True),
+    _Phase("kk.decide", _kk_decide, "T", "w1",
+           reads=("M",), indices="stashed", compacts=("w1", "w2")),
+)
+
+#: Luby's Algorithm A: fresh priorities, winner selection, neighbour removal.
+_LUBY_PHASES = (
+    _Phase("luby.priorities", _luby_priorities, "priority", "cand",
+           indices="ship+stash", scalar=True, exchange=True),
+    # Selection reads neighbour statuses, so committing IN in the boundary
+    # half would leak into the interior half's snapshot.
+    _Phase("luby.select", _luby_select, "status", "cand",
+           reads=("status", "priority"), indices="stashed", reply="ids",
+           fill=_LUBY_IN, defer=True, exchange=True, compacts=("cand",)),
+    # Removal reads ``== IN`` and writes OUT to undecided vertices, so its
+    # writes cannot alter the sibling half's reads: no deferral.
+    _Phase("luby.remove", _luby_remove, "status", "cand",
+           reads=("status",), indices="stashed", narrow=_luby_still_undecided,
+           reply="mask", fill=_LUBY_OUT, exchange=True, compacts=("cand",)),
+)
+
+#: Speculative greedy coloring: assignment, then conflict resolution. Both
+#: read neighbour colors, owned ones included, so both defer their writes —
+#: a boundary loser reset to -1 early would erase a conflict the interior
+#: half must still see.
+_COLOR_PHASES = (
+    _Phase("color.assign", _color_assign, "colors", "wl",
+           reads=("colors",), indices="ship+stash", defer=True, exchange=True),
+    _Phase("color.conflict", _color_conflict, "colors", "wl",
+           reads=("colors",), indices="stashed", reply="ids", fill=-1,
+           defer=True, exchange=True, compacts=("wl",)),
+)
+
+_PHASES = {p.name: p for table in (_KK_PHASES, _LUBY_PHASES, _COLOR_PHASES) for p in table}
+
+
+def _phase_named(name: str) -> _Phase:
+    return _PHASES[name]
+
+
+# ------------------------------------------------------------ the worker task
+#
+# The schedule runs each phase either whole (the barrier schedule) or as a
+# boundary half followed by an interior half (the overlapped schedule). The
+# half travels in the partial, never in the delta: ``shipped_nbytes`` charges
+# every delta member. Conventions, relied on by the driver:
+#
+# - a whole or boundary delta is ``(indices, [scalar,] *halo_updates)``, and
+#   the boundary half always ships, even with an empty sub-worklist, because
+#   its halo updates must land to keep the tracker's "worker halo is current
+#   after take" invariant;
+# - an interior delta is the bare sub-worklist (or ``None`` for a stashed
+#   one); the scalar rode with the boundary half and is stashed worker-side,
+#   because shipping it twice would break the overlap-vs-barrier byte
+#   equality;
+# - sessions run each part's tasks FIFO, so the interior half may read the
+#   boundary half's stashes, and a deferring phase's boundary writes are
+#   stashed and committed by the interior half after both have computed.
+
+_WHOLE, _BOUNDARY, _INTERIOR = "", "b", "i"
+
+
+def _targets(phase: _Phase, vertices: np.ndarray, out):
+    """Where ``phase`` writes and what, given its worklist and its output."""
+    if phase.reply == "values":
+        return vertices, out
+    if phase.reply == "mask":
+        return vertices[out], phase.fill
+    return out, phase.fill
+
+
+def _phase_task(phase: _Phase, half: str, payload, state, delta):
+    """The one worker-side task: run ``phase`` on one part's ``half``."""
+    if half == _INTERIOR:
+        local, scalar = delta, state["_scalar"] if phase.scalar else None
+    else:
+        local, *rest = delta
+        scalar = rest.pop(0) if phase.scalar else None
+        if half == _BOUNDARY and phase.scalar:
+            state["_scalar"] = scalar
+        for name, update in zip(phase.reads, rest):
+            _apply_halo_update(state[name], payload["halo_local"], update)
+    stash = phase.worklist + half
+    if local is None:
+        local = state[stash]
+        if phase.narrow is not None:
+            local = local[phase.narrow(payload, state, local)]
+    elif phase.indices == "ship+stash":
+        state[stash] = local
+    out = phase.compute(payload, state, local, scalar)
+    idx, values = _targets(phase, local, out)
+    target = state[phase.writes]
+    if phase.defer and half == _BOUNDARY:
+        state["_pending"] = (idx, values)
+    else:
+        if phase.defer and half == _INTERIOR:
+            pending_idx, pending_values = state.pop("_pending")
+            target[pending_idx] = pending_values
+        target[idx] = values
+    return payload["ids"][out] if phase.reply == "ids" else out
+
+
+# ------------------------------------------------------------------- the driver
 def _exchange_traffic(
     traffic: TrafficCounter,
     layout: PartitionLayout,
@@ -1028,11 +948,146 @@ def _exchange_traffic(
     traffic.add("ghost_exchange", bytes_read=nbytes, bytes_written=nbytes)
 
 
+def _prepare(layout: PartitionLayout, worklist: List[np.ndarray], split: bool):
+    """The live parts of one worklist and, per live part and half, its
+    ``(vertices, local indices)``.
+
+    The boundary/interior split preserves worklist order, so barrier and
+    overlapped schedules enumerate the same vertices in the same order.
+    """
+    live = [i for i, w in enumerate(worklist) if w.size]
+    halves: Dict[int, Tuple] = {}
+    for i in live:
+        part, vertices = layout.parts[i], worklist[i]
+        local = part.local(vertices)
+        if split:
+            inner = part.interior_local[local]
+            outer = ~inner
+            halves[i] = ((vertices[outer], local[outer]), (vertices[inner], local[inner]))
+        else:
+            halves[i] = ((vertices, local),)
+    return live, halves
+
+
+def _run_supersteps(
+    B: ExecutionBackend,
+    layout: PartitionLayout,
+    token: str,
+    payloads: List[Dict],
+    phases: Tuple[_Phase, ...],
+    arrays: Dict[str, np.ndarray],
+    worklists: Dict[str, List[np.ndarray]],
+    keep: Dict[str, Callable[[np.ndarray], np.ndarray]],
+    traffic: TrafficCounter,
+    limit: int,
+    what: str,
+    resident: bool,
+    changed_deltas: bool,
+    overlap: bool,
+) -> Tuple[int, List, PartitionStats]:
+    """Run a kernel's phase table to convergence over a resident session.
+
+    Each iteration runs every phase of ``phases`` once, over its worklist's
+    live parts; ``arrays`` (the shared per-vertex arrays, updated in place)
+    and ``worklists`` (per-part owned ids) are the coordinator's state, and
+    ``keep[name]`` is the coordinator-side compaction predicate of worklist
+    ``name``. The loop ends when the first phase's worklist is empty on every
+    part. Returns ``(iterations, per-iteration worklist sizes, stats)``; an
+    empty graph opens no session.
+    """
+    if layout.num_vertices == 0:
+        return 0, [], layout.stats(0)
+    states = [{name: arr[p.ids] for name, arr in arrays.items()} for p in layout.parts]
+    tracker = HaloDeltaTracker(layout, tuple(arrays), changed_only=changed_deltas)
+    session = B.map_partitions_resident(token, payloads, states, resident=resident)
+    # Overlap needs the resident seam: non-resident accounting re-ships
+    # payload+state per call, so a split phase would double-charge it.
+    split = bool(overlap) and resident
+    schedule = (_BOUNDARY, _INTERIOR) if split else (_WHOLE,)
+    first = phases[0].worklist
+    iteration = supersteps = 0
+    sizes: List = []
+    charge: Optional[int] = None  # itemsize of the array the last phase re-ghosts
+    # The last phase's interior half, landed after the next phase is submitted.
+    late: Optional[Tuple[_Phase, PhaseFuture, List[np.ndarray]]] = None
+
+    def delta(phase: _Phase, half: str, part: int, local: np.ndarray):
+        indices = None if phase.indices == "stashed" and changed_deltas else local
+        if half == _INTERIOR:
+            return indices
+        head: Tuple[Any, ...] = (indices, iteration) if phase.scalar else (indices,)
+        return head + tuple(tracker.take(name, part, arrays[name]) for name in phase.reads)
+
+    def land(phase: _Phase, future, vertices: List[np.ndarray], mark: bool) -> None:
+        # Interior results scatter with no change tracking: an interior vertex
+        # is in no part's halo, so marking it is provably a no-op on every
+        # dirty mask — the skip is what makes the split cheaper, not just
+        # equivalent.
+        arr = arrays[phase.writes]
+        touched = []
+        for wl, out in zip(vertices, future.result()):
+            idx, values = _targets(phase, wl, out)
+            if mark:
+                touched.append(_scatter_changed(arr, idx, values))
+            else:
+                arr[idx] = values
+        if mark:
+            tracker.mark(phase.writes, touched)
+
+    t0 = time.perf_counter()
+    try:
+        prepared: Dict[str, Tuple[List[int], Dict]] = {}
+        while any(w.size for w in worklists[first]):
+            if iteration >= limit:
+                raise RuntimeError(
+                    f"partitioned {what} did not converge within {limit} iterations"
+                )
+            sizes.append(tuple(int(sum(w.size for w in wls)) for wls in worklists.values()))
+            for phase in phases:
+                name = phase.worklist
+                if name not in prepared:
+                    prepared[name] = _prepare(layout, worklists[name], split)
+                live, subs = prepared[name]
+                if charge is not None:
+                    _exchange_traffic(traffic, layout, charge, live)
+                futures = [
+                    session.run_async(
+                        functools.partial(_phase_task, phase, half),
+                        [(i, delta(phase, half, i, subs[i][h][1])) for i in live],
+                        commit=half != _BOUNDARY,
+                    )
+                    for h, half in enumerate(schedule)
+                ]
+                if late is not None:
+                    land(*late, mark=False)
+                land(phase, futures[0], [subs[i][0][0] for i in live], mark=True)
+                late = (phase, futures[1], [subs[i][1][0] for i in live]) if split else None
+                supersteps += 1
+                if phase.compacts:
+                    if late is not None:
+                        land(*late, mark=False)
+                        late = None
+                    for c in phase.compacts:
+                        worklists[c] = [w[keep[c](w)] for w in worklists[c]]
+                        prepared.pop(c, None)
+                charge = int(arrays[phase.writes].itemsize) if phase.exchange else None
+            iteration += 1
+        if charge is not None:
+            # The last phase's exchange is read by the parts live in the next
+            # iteration — none, now that the loop has ended, but the traffic
+            # model still records the (empty) exchange.
+            _exchange_traffic(traffic, layout, charge, [])
+    finally:
+        session.close()
+    elapsed = time.perf_counter() - t0
+    return iteration, sizes, layout.stats(supersteps, session=session, elapsed_seconds=elapsed)
+
+
+# ------------------------------------------------------------------- kernels
 def partitioned_kk_mis2(
     graph: CSRGraph,
     partitions: PartitionSpec,
     priority_scheme: Union[str, PriorityScheme] = PriorityScheme.XORSTAR,
-    use_worklists: bool = True,
     simd: Optional[bool] = None,
     word_bits: int = 64,
     seed: int = 0,
@@ -1043,31 +1098,25 @@ def partitioned_kk_mis2(
 ):
     """Algorithm 1 executed partition-parallel; bit-identical to :func:`kk_mis2`.
 
-    Each main-loop iteration runs as three supersteps (Refresh Row, Refresh
-    Column, Decide) fanned over the parts through a rank-resident
-    :class:`~repro.parallel.backends.ResidentSession` — each part's local CSR
+    Each main-loop iteration runs :data:`_KK_PHASES` — Refresh Row, Refresh
+    Column, Decide, then owner-local worklist compaction — fanned over the
+    parts through a rank-resident
+    :class:`~repro.parallel.backends.ResidentSession`: each part's local CSR
     ships to its pinned worker once; every subsequent phase ships only the
     halo values *changed since the part's last refresh* (dense fallback when
     sparse would cost more) plus the iteration's worklist indices, sent once
-    by Refresh Row and stashed worker-side for Decide. Worklist compaction is
-    owner-local. ``resident=False`` selects the non-resident baseline that
-    re-ships the whole part every superstep; ``changed_deltas=False`` the
-    full-halo wire format (whole halos, worklists re-sent per phase);
-    ``overlap=False`` the barrier schedule (overlap requires the resident
-    seam and is ignored on non-resident runs). All combinations produce
-    bit-identical results and identical shipped-byte/superstep counts per
-    wire format — only wall-clock differs. See the module docstring for the
-    determinism argument.
+    by Refresh Row and stashed worker-side for Decide.
+
+    ``resident=False``, ``changed_deltas=False`` and ``overlap=False`` select
+    the CI baseline modes described in the module docstring (overlap requires
+    the resident seam and is ignored on non-resident runs). All combinations
+    produce bit-identical results and identical shipped-byte/superstep counts
+    per wire format — only wall-clock differs.
     """
     from ..mis.kk import SIMD_DEGREE_THRESHOLD, _max_iterations
     from ..mis.result import MISConfig, MISResult
 
     scheme = PriorityScheme.coerce(priority_scheme)
-    if not use_worklists:
-        raise ValueError(
-            "partitioned execution always maintains per-part worklists; "
-            "use partitions=None for the use_worklists=False ablation"
-        )
     B = resolve_backend(backend)
     layout = build_partition_layout(graph, partitions)
     n = graph.num_vertices
@@ -1086,193 +1135,39 @@ def partitioned_kk_mis2(
         partitions=layout.num_parts,
     )
     traffic = TrafficCounter(backend=B.name)
-    if n == 0:
-        return MISResult(
-            in_set=np.zeros(0, dtype=np.int64),
-            in_mask=np.zeros(0, dtype=bool),
-            iterations=0,
-            traffic=traffic,
-            config=config,
-            partition_stats=layout.stats(0),
-        )
-
     packer = TuplePacking(n, word_bits=word_bits)
     OUT = packer.out_value
-    word_bytes = packer.dtype.itemsize
     T = packer.pack(np.zeros(n, dtype=packer.dtype), np.arange(n, dtype=np.int64))
     M = np.full(n, OUT, dtype=packer.dtype)
-    members = layout.parts
-    w1 = [p.owned for p in members]
-    w2 = [p.owned for p in members]
-    worklist_sizes: List[Tuple[int, int]] = []
-    iteration = 0
-    supersteps = 0
-    max_iter = _max_iterations(n)
-
-    payloads = [
-        _resident_payload(p, n=n, word_bits=word_bits, scheme=scheme.value, seed=seed)
-        for p in members
-    ]
-    states = [{"T": T[p.ids], "M": M[p.ids]} for p in members]
-    token = f"{layout.token}/kk2/{scheme.value}/s{seed}/w{word_bits}"
-    tracker = HaloDeltaTracker(layout, ("T", "M"), changed_only=changed_deltas)
-    session = B.map_partitions_resident(token, payloads, states, resident=resident)
-    ov = bool(overlap) and resident
-    t0 = time.perf_counter()
-    try:
-        while True:
-            total1 = sum(w.size for w in w1)
-            if total1 == 0:
-                break
-            if iteration >= max_iter:
-                raise RuntimeError(
-                    f"partitioned MIS-2 did not converge within {max_iter} iterations; "
-                    "this indicates a bug in the priority scheme or the graph structure"
-                )
-            worklist_sizes.append((int(total1), int(sum(w.size for w in w2))))
-
-            live1 = _live(w1)
-            live2 = _live(w2)
-            w1_loc = {i: members[i].local(w1[i]) for i in live1}
-            if ov:
-                # Overlapped schedule: each phase splits boundary/interior and
-                # the next phase's deltas ship while interior sub-tasks run.
-                # Interior results scatter late — an interior vertex is in no
-                # part's halo, so its marks never dirty a take.
-                w1b, w1b_loc, w1i, w1i_loc = {}, {}, {}, {}
-                for i in live1:
-                    w1b[i], w1b_loc[i], w1i[i], w1i_loc[i] = _split_interior(
-                        members[i], w1[i], w1_loc[i]
-                    )
-                w2b, w2b_loc, w2i, w2i_loc = {}, {}, {}, {}
-                for i in live2:
-                    w2b[i], w2b_loc[i], w2i[i], w2i_loc[i] = _split_interior(
-                        members[i], w2[i], members[i].local(w2[i])
-                    )
-
-                # ---------------------------------- Refresh Row (owner-local)
-                fb = session.run_async(
-                    _kk_overlap_refresh_row_boundary,
-                    [(i, (w1b_loc[i], iteration)) for i in live1],
-                    commit=False,
-                )
-                fi = session.run_async(
-                    _kk_overlap_refresh_row_interior,
-                    [(i, w1i_loc[i]) for i in live1],
-                )
-                tracker.mark(
-                    "T", [_scatter_changed(T, w1b[i], out) for i, out in zip(live1, fb.result())]
-                )
-                supersteps += 1
-                _exchange_traffic(traffic, layout, word_bytes, live2)
-
-                # ------------------------------- Refresh Column (reads ghost T)
-                gb = session.run_async(
-                    _kk_overlap_refresh_column_boundary,
-                    [(i, (w2b_loc[i], tracker.take("T", i, T))) for i in live2],
-                    commit=False,
-                )
-                gi = session.run_async(
-                    _kk_overlap_refresh_column_interior,
-                    [(i, w2i_loc[i]) for i in live2],
-                )
-                # Interior results scatter with no change tracking: an
-                # interior vertex is in no part's halo, so marking it is
-                # provably a no-op on every dirty mask — the skip is what
-                # makes the split cheaper, not just equivalent.
-                for i, out in zip(live1, fi.result()):
-                    T[w1i[i]] = out
-                tracker.mark(
-                    "M", [_scatter_changed(M, w2b[i], out) for i, out in zip(live2, gb.result())]
-                )
-                supersteps += 1
-                _exchange_traffic(traffic, layout, word_bytes, live1)
-
-                # ---------------------------------- Decide (reads ghost M)
-                hb = session.run_async(
-                    _kk_overlap_decide_boundary,
-                    [
-                        (
-                            i,
-                            (
-                                None if changed_deltas else w1b_loc[i],
-                                tracker.take("M", i, M),
-                            ),
-                        )
-                        for i in live1
-                    ],
-                    commit=False,
-                )
-                hi = session.run_async(
-                    _kk_overlap_decide_interior,
-                    [(i, None if changed_deltas else w1i_loc[i]) for i in live1],
-                )
-                for i, out in zip(live2, gi.result()):
-                    M[w2i[i]] = out
-                tracker.mark(
-                    "T", [_scatter_changed(T, w1b[i], out) for i, out in zip(live1, hb.result())]
-                )
-                for i, out in zip(live1, hi.result()):
-                    T[w1i[i]] = out
-                supersteps += 1
-            else:
-                # ---------------------------------- Refresh Row (owner-local)
-                outs = session.run(
-                    _kk_resident_refresh_row,
-                    [(i, (w1_loc[i], iteration)) for i in live1],
-                )
-                tracker.mark("T", [_scatter_changed(T, w1[i], out) for i, out in zip(live1, outs)])
-                supersteps += 1
-                _exchange_traffic(traffic, layout, word_bytes, live2)
-
-                # ------------------------------- Refresh Column (reads ghost T)
-                outs = session.run(
-                    _kk_resident_refresh_column,
-                    [
-                        (i, (members[i].local(w2[i]), tracker.take("T", i, T)))
-                        for i in live2
-                    ],
-                )
-                tracker.mark("M", [_scatter_changed(M, w2[i], out) for i, out in zip(live2, outs)])
-                supersteps += 1
-                _exchange_traffic(traffic, layout, word_bytes, live1)
-
-                # ---------------------------------- Decide (reads ghost M)
-                outs = session.run(
-                    _kk_resident_decide,
-                    [
-                        (
-                            i,
-                            (
-                                None if changed_deltas else w1_loc[i],
-                                tracker.take("M", i, M),
-                            ),
-                        )
-                        for i in live1
-                    ],
-                )
-                tracker.mark("T", [_scatter_changed(T, w1[i], out) for i, out in zip(live1, outs)])
-                supersteps += 1
-
-            # --------------------------------------- Compaction (owner-local)
-            for i in live1:
-                w1[i] = w1[i][packer.is_undecided(T[w1[i]])]
-            for i in live2:
-                w2[i] = w2[i][M[w2[i]] != OUT]
-            iteration += 1
-    finally:
-        session.close()
-    elapsed = time.perf_counter() - t0
-
+    owned = [p.owned for p in layout.parts]
+    iterations, worklist_sizes, stats = _run_supersteps(
+        B,
+        layout,
+        f"{layout.token}/kk2/{scheme.value}/s{seed}/w{word_bits}",
+        [
+            _resident_payload(p, n=n, word_bits=word_bits, scheme=scheme.value, seed=seed)
+            for p in layout.parts
+        ],
+        _KK_PHASES,
+        arrays={"T": T, "M": M},
+        worklists={"w1": owned, "w2": list(owned)},
+        keep={"w1": lambda w: packer.is_undecided(T[w]), "w2": lambda w: M[w] != OUT},
+        traffic=traffic,
+        limit=_max_iterations(n),
+        what="MIS-2",
+        resident=resident,
+        changed_deltas=changed_deltas,
+        overlap=overlap,
+    )
     in_mask = packer.is_in(T)
     return MISResult(
         in_set=np.nonzero(in_mask)[0].astype(np.int64),
         in_mask=in_mask,
-        iterations=iteration,
+        iterations=iterations,
         worklist_sizes=worklist_sizes,
         traffic=traffic,
         config=config,
-        partition_stats=layout.stats(supersteps, session=session, elapsed_seconds=elapsed),
+        partition_stats=stats,
     )
 
 
@@ -1289,8 +1184,8 @@ def partitioned_luby_mis1(
     """Luby's Algorithm A executed partition-parallel; bit-identical to
     :func:`luby_mis1`.
 
-    Each round runs three supersteps: priority refresh (owner-local), winner
-    selection (reads ghost priorities/statuses) and neighbour removal
+    Each round runs :data:`_LUBY_PHASES`: priority refresh (owner-local),
+    winner selection (reads ghost priorities/statuses) and neighbour removal
     (owner-computes: an undecided owned vertex goes OUT when any neighbour —
     local or ghost — just joined the set). Runs through a rank-resident
     session: the per-part CSR ships once, supersteps ship *changed* halo
@@ -1302,9 +1197,7 @@ def partitioned_luby_mis1(
     format, ``overlap=False`` the barrier schedule — results are
     bit-identical in every combination.
     """
-    import math
-
-    from ..mis.luby import _IN, _OUT, _UNDECIDED
+    from ..mis.kk import _max_iterations
     from ..mis.result import MISConfig, MISResult
 
     scheme = PriorityScheme.coerce(priority_scheme)
@@ -1323,218 +1216,42 @@ def partitioned_luby_mis1(
         partitions=layout.num_parts,
     )
     traffic = TrafficCounter(backend=B.name)
-    if n == 0:
-        return MISResult(
-            in_set=np.zeros(0, dtype=np.int64),
-            in_mask=np.zeros(0, dtype=bool),
-            iterations=0,
-            traffic=traffic,
-            config=config,
-            partition_stats=layout.stats(0),
-        )
-
-    members = layout.parts
-    status = np.full(n, _UNDECIDED, dtype=np.uint8)
-    priority = np.zeros(n, dtype=np.uint64)
-    rounds = 0
-    supersteps = 0
-    max_rounds = 20 * max(4, int(math.log2(n + 2))) + 64
-
-    payloads = [
-        _resident_payload(
-            p,
-            n=n,
-            scheme=scheme.value,
-            seed=seed,
-            undecided=_UNDECIDED,
-            in_value=_IN,
-            out_value=_OUT,
-        )
-        for p in members
-    ]
-    states = [{"status": status[p.ids], "priority": priority[p.ids]} for p in members]
-    token = f"{layout.token}/luby1/{scheme.value}/s{seed}"
-    tracker = HaloDeltaTracker(layout, ("status", "priority"), changed_only=changed_deltas)
-    session = B.map_partitions_resident(token, payloads, states, resident=resident)
-    ov = bool(overlap) and resident
-    t0 = time.perf_counter()
-    try:
-        while np.any(status == _UNDECIDED):
-            if rounds >= max_rounds:
-                raise RuntimeError(
-                    f"partitioned Luby MIS-1 did not converge within {max_rounds} rounds"
-                )
-            cand = [p.owned[status[p.owned] == _UNDECIDED] for p in members]
-            live = _live(cand)
-            cand_loc = {i: members[i].local(cand[i]) for i in live}
-
-            if ov:
-                cb, cb_loc, ci, ci_loc = {}, {}, {}, {}
-                for i in live:
-                    cb[i], cb_loc[i], ci[i], ci_loc[i] = _split_interior(
-                        members[i], cand[i], cand_loc[i]
-                    )
-
-                # ---------------------------------- priorities (owner-local)
-                fb = session.run_async(
-                    _luby_overlap_priorities_boundary,
-                    [(i, (cb_loc[i], rounds)) for i in live],
-                    commit=False,
-                )
-                fi = session.run_async(
-                    _luby_overlap_priorities_interior,
-                    [(i, ci_loc[i]) for i in live],
-                )
-                tracker.mark(
-                    "priority",
-                    [_scatter_changed(priority, cb[i], out) for i, out in zip(live, fb.result())],
-                )
-                supersteps += 1
-                _exchange_traffic(traffic, layout, 8, live)
-
-                # ------------------------- selection (reads ghost priorities)
-                gb = session.run_async(
-                    _luby_overlap_select_boundary,
-                    [
-                        (
-                            i,
-                            (
-                                None if changed_deltas else cb_loc[i],
-                                tracker.take("status", i, status),
-                                tracker.take("priority", i, priority),
-                            ),
-                        )
-                        for i in live
-                    ],
-                    commit=False,
-                )
-                gi = session.run_async(
-                    _luby_overlap_select_interior,
-                    [(i, None if changed_deltas else ci_loc[i]) for i in live],
-                )
-                # Interior results are in no part's halo: scatter plainly and
-                # skip both the changed-comparison and the (no-op) mark.
-                for i, out in zip(live, fi.result()):
-                    priority[ci[i]] = out
-                boundary_winners = list(gb.result())
-                interior_winners = list(gi.result())
-                for winners in boundary_winners + interior_winners:
-                    status[winners] = _IN
-                # Winners were undecided a moment ago, so every boundary one
-                # is a change; interior winners need no mark.
-                tracker.mark("status", boundary_winners)
-                supersteps += 1
-
-                # ---------------------------- removal (reads ghost statuses)
-                remaining = {i: cand[i][status[cand[i]] == _UNDECIDED] for i in live}
-                live_r = [i for i in live if remaining[i].size]
-                _exchange_traffic(traffic, layout, 1, live_r)
-                rb, rb_loc, ri, ri_loc = {}, {}, {}, {}
-                for i in live_r:
-                    rb[i], rb_loc[i], ri[i], ri_loc[i] = _split_interior(
-                        members[i], remaining[i], members[i].local(remaining[i])
-                    )
-                hb = session.run_async(
-                    _luby_overlap_remove_boundary,
-                    [
-                        (
-                            i,
-                            (
-                                None if changed_deltas else rb_loc[i],
-                                tracker.take("status", i, status),
-                            ),
-                        )
-                        for i in live_r
-                    ],
-                    commit=False,
-                )
-                hi = session.run_async(
-                    _luby_overlap_remove_interior,
-                    [(i, None if changed_deltas else ri_loc[i]) for i in live_r],
-                )
-                removed_b = [rb[i][losers] for i, losers in zip(live_r, hb.result())]
-                removed_i = [ri[i][losers] for i, losers in zip(live_r, hi.result())]
-                for ids in removed_b + removed_i:
-                    status[ids] = _OUT
-                tracker.mark("status", removed_b)
-                supersteps += 1
-            else:
-                # ---------------------------------- priorities (owner-local)
-                outs = session.run(
-                    _luby_resident_priorities,
-                    [(i, (cand_loc[i], rounds)) for i in live],
-                )
-                tracker.mark(
-                    "priority",
-                    [_scatter_changed(priority, cand[i], out) for i, out in zip(live, outs)],
-                )
-                supersteps += 1
-                _exchange_traffic(traffic, layout, 8, live)
-
-                # ------------------------- selection (reads ghost priorities)
-                outs = session.run(
-                    _luby_resident_select,
-                    [
-                        (
-                            i,
-                            (
-                                None if changed_deltas else cand_loc[i],
-                                tracker.take("status", i, status),
-                                tracker.take("priority", i, priority),
-                            ),
-                        )
-                        for i in live
-                    ],
-                )
-                winner_lists = list(outs)
-                for winners in winner_lists:
-                    status[winners] = _IN
-                # Winners were undecided a moment ago, so every one is a change.
-                tracker.mark("status", winner_lists)
-                supersteps += 1
-
-                # ---------------------------- removal (reads ghost statuses)
-                remaining = {i: cand[i][status[cand[i]] == _UNDECIDED] for i in live}
-                live_r = [i for i in live if remaining[i].size]
-                _exchange_traffic(traffic, layout, 1, live_r)
-                outs = session.run(
-                    _luby_resident_remove,
-                    [
-                        (
-                            i,
-                            (
-                                None if changed_deltas else members[i].local(remaining[i]),
-                                tracker.take("status", i, status),
-                            ),
-                        )
-                        for i in live_r
-                    ],
-                )
-                removed = [remaining[i][losers] for i, losers in zip(live_r, outs)]
-                for ids in removed:
-                    status[ids] = _OUT
-                tracker.mark("status", removed)
-                supersteps += 1
-            # The removal phase's OUT statuses are re-ghosted for the next
-            # round's selection snapshot — account that exchange over the
-            # parts that will actually read it, i.e. those with undecided
-            # owned candidates left (next round's live set: a candidate can
-            # only stay undecided if it was one this round).
-            live_next = [i for i in live if np.any(status[cand[i]] == _UNDECIDED)]
-            _exchange_traffic(traffic, layout, 1, live_next)
-            rounds += 1
-    finally:
-        session.close()
-    elapsed = time.perf_counter() - t0
-
-    in_mask = status == _IN
+    status = np.full(n, _LUBY_UNDECIDED, dtype=np.uint8)
+    rounds, _, stats = _run_supersteps(
+        B,
+        layout,
+        f"{layout.token}/luby1/{scheme.value}/s{seed}",
+        [
+            _resident_payload(
+                p,
+                n=n,
+                scheme=scheme.value,
+                seed=seed,
+                undecided=_LUBY_UNDECIDED,
+                in_value=_LUBY_IN,
+                out_value=_LUBY_OUT,
+            )
+            for p in layout.parts
+        ],
+        _LUBY_PHASES,
+        arrays={"status": status, "priority": np.zeros(n, dtype=np.uint64)},
+        worklists={"cand": [p.owned for p in layout.parts]},
+        keep={"cand": lambda w: status[w] == _LUBY_UNDECIDED},
+        traffic=traffic,
+        limit=_max_iterations(n),
+        what="Luby MIS-1",
+        resident=resident,
+        changed_deltas=changed_deltas,
+        overlap=overlap,
+    )
+    in_mask = status == _LUBY_IN
     return MISResult(
         in_set=np.nonzero(in_mask)[0].astype(np.int64),
         in_mask=in_mask,
         iterations=rounds,
         traffic=traffic,
         config=config,
-        partition_stats=layout.stats(supersteps, session=session, elapsed_seconds=elapsed),
+        partition_stats=stats,
     )
 
 
@@ -1550,16 +1267,17 @@ def partitioned_greedy_color(
     """Speculative greedy coloring executed partition-parallel; bit-identical to
     :func:`greedy_color`.
 
-    Each round runs two supersteps: speculative assignment (reads ghost
-    colors) and conflict resolution (the higher-global-id endpoint of a
+    Each round runs :data:`_COLOR_PHASES`: speculative assignment (reads
+    ghost colors) and conflict resolution (the higher-global-id endpoint of a
     same-color edge is uncolored by its owning part — the same deterministic
-    tie-break as the unpartitioned kernel). Runs through a rank-resident
-    session: the per-part CSR ships once, supersteps ship *changed* halo
-    colors, and the round's worklist indices ship once with the assignment
-    phase (the conflict phase reads the worker-side stash).
-    ``resident=False`` restores the ship-everything baseline,
-    ``changed_deltas=False`` the full-halo wire format, ``overlap=False``
-    the barrier schedule — results are bit-identical in every combination.
+    tie-break as the unpartitioned kernel); the uncolored vertices form the
+    next round's worklist. Runs through a rank-resident session: the
+    per-part CSR ships once, supersteps ship *changed* halo colors, and the
+    round's worklist indices ship once with the assignment phase (the
+    conflict phase reads the worker-side stash). ``resident=False``
+    restores the ship-everything baseline, ``changed_deltas=False`` the
+    full-halo wire format, ``overlap=False`` the barrier schedule — results
+    are bit-identical in every combination.
     """
     from ..coloring.greedy import ColoringResult
 
@@ -1567,151 +1285,26 @@ def partitioned_greedy_color(
     layout = build_partition_layout(graph, partitions)
     n = graph.num_vertices
     traffic = TrafficCounter(backend=B.name)
-    if n == 0:
-        return ColoringResult(
-            np.zeros(0, dtype=np.int64),
-            0,
-            0,
-            traffic,
-            backend=B.name,
-            partitions=layout.num_parts,
-            partition_stats=layout.stats(0),
-        )
-
-    members = layout.parts
     colors = -np.ones(n, dtype=np.int64)
-    worklists = [p.owned for p in members]
     max_colors = graph.max_degree() + 1
-    cap = max_rounds if max_rounds is not None else n + 2
-    rounds = 0
-    supersteps = 0
-
-    payloads = [_resident_payload(p, max_colors=max_colors) for p in members]
-    states = [{"colors": colors[p.ids]} for p in members]
-    token = f"{layout.token}/greedy/m{max_colors}"
-    tracker = HaloDeltaTracker(layout, ("colors",), changed_only=changed_deltas)
-    session = B.map_partitions_resident(token, payloads, states, resident=resident)
-    ov = bool(overlap) and resident
-    t0 = time.perf_counter()
-    try:
-        while sum(w.size for w in worklists) > 0:
-            if rounds >= cap:
-                raise RuntimeError(
-                    "partitioned greedy coloring did not converge (conflict loop)"
-                )
-            live = _live(worklists)
-            wl_loc = {i: members[i].local(worklists[i]) for i in live}
-
-            if ov:
-                wb, wb_loc, wi, wi_loc = {}, {}, {}, {}
-                for i in live:
-                    wb[i], wb_loc[i], wi[i], wi_loc[i] = _split_interior(
-                        members[i], worklists[i], wl_loc[i]
-                    )
-
-                # ----------------------------- speculation (reads ghost colors)
-                fb = session.run_async(
-                    _color_overlap_assign_boundary,
-                    [(i, (wb_loc[i], tracker.take("colors", i, colors))) for i in live],
-                    commit=False,
-                )
-                fi = session.run_async(
-                    _color_overlap_assign_interior,
-                    [(i, wi_loc[i]) for i in live],
-                )
-                tracker.mark(
-                    "colors",
-                    [_scatter_changed(colors, wb[i], out) for i, out in zip(live, fb.result())],
-                )
-                supersteps += 1
-                _exchange_traffic(traffic, layout, 8, live)
-
-                # ----------------- conflicts (reads freshly ghosted colors)
-                gb = session.run_async(
-                    _color_overlap_conflict_boundary,
-                    [
-                        (
-                            i,
-                            (
-                                None if changed_deltas else wb_loc[i],
-                                tracker.take("colors", i, colors),
-                            ),
-                        )
-                        for i in live
-                    ],
-                    commit=False,
-                )
-                gi = session.run_async(
-                    _color_overlap_conflict_interior,
-                    [(i, None if changed_deltas else wi_loc[i]) for i in live],
-                )
-                # Interior results are in no part's halo: scatter plainly and
-                # skip both the changed-comparison and the (no-op) mark.
-                for i, out in zip(live, fi.result()):
-                    colors[wi[i]] = out
-                new_worklists = [np.zeros(0, dtype=np.int64)] * len(members)
-                loser_lists: List[np.ndarray] = []
-                for i, lb, li in zip(live, gb.result(), gi.result()):
-                    # Boundary and interior losers are disjoint; sorting the
-                    # union reproduces the barrier schedule's worklist exactly.
-                    # Only the boundary losers feed the shared mark below —
-                    # interior vertices dirty no halo.
-                    losers = np.sort(np.concatenate((lb, li)))
-                    colors[losers] = -1
-                    new_worklists[i] = losers
-                    loser_lists.append(lb)
-            else:
-                # ----------------------------- speculation (reads ghost colors)
-                outs = session.run(
-                    _color_resident_assign,
-                    [
-                        (i, (wl_loc[i], tracker.take("colors", i, colors)))
-                        for i in live
-                    ],
-                )
-                tracker.mark(
-                    "colors",
-                    [_scatter_changed(colors, worklists[i], out) for i, out in zip(live, outs)],
-                )
-                supersteps += 1
-                _exchange_traffic(traffic, layout, 8, live)
-
-                # ----------------- conflicts (reads freshly ghosted colors)
-                outs = session.run(
-                    _color_resident_conflict,
-                    [
-                        (
-                            i,
-                            (
-                                None if changed_deltas else wl_loc[i],
-                                tracker.take("colors", i, colors),
-                            ),
-                        )
-                        for i in live
-                    ],
-                )
-                new_worklists = [np.zeros(0, dtype=np.int64)] * len(members)
-                loser_lists = list(outs)
-                for i, losers in zip(live, loser_lists):
-                    colors[losers] = -1
-                    new_worklists[i] = losers
-            # A conflict loser had just been speculatively colored >= 0, so
-            # every reset to -1 is a change.
-            tracker.mark("colors", loser_lists)
-            worklists = new_worklists
-            supersteps += 1
-            # The conflict phase's -1 resets are re-ghosted for the next round's
-            # speculation snapshot, so this round carries two exchanges like the
-            # other kernels' ghost-reading phase pairs — read by exactly the
-            # parts whose worklists survived into that round.
-            _exchange_traffic(traffic, layout, 8, _live(worklists))
-            rounds += 1
-    finally:
-        session.close()
-    elapsed = time.perf_counter() - t0
-
+    rounds, _, stats = _run_supersteps(
+        B,
+        layout,
+        f"{layout.token}/greedy/m{max_colors}",
+        [_resident_payload(p, max_colors=max_colors) for p in layout.parts],
+        _COLOR_PHASES,
+        arrays={"colors": colors},
+        worklists={"wl": [p.owned for p in layout.parts]},
+        keep={"wl": lambda w: colors[w] == -1},
+        traffic=traffic,
+        limit=max_rounds if max_rounds is not None else n + 2,
+        what="greedy coloring",
+        resident=resident,
+        changed_deltas=changed_deltas,
+        overlap=overlap,
+    )
     used = np.unique(colors)
-    remap = -np.ones(int(used.max()) + 1, dtype=np.int64)
+    remap = -np.ones(int(used.max(initial=-1)) + 1, dtype=np.int64)
     remap[used] = np.arange(used.size, dtype=np.int64)
     return ColoringResult(
         remap[colors],
@@ -1721,5 +1314,5 @@ def partitioned_greedy_color(
         distance=1,
         backend=B.name,
         partitions=layout.num_parts,
-        partition_stats=layout.stats(supersteps, session=session, elapsed_seconds=elapsed),
+        partition_stats=stats,
     )

@@ -19,7 +19,14 @@ from repro.coloring import distance2_color, greedy_color
 from repro.graph import laplace3d_matrix, random_gnp
 from repro.gs import ClusterMulticolorGaussSeidel
 from repro.mis import bell_mis, kk_mis2, luby_mis1
-from repro.parallel import ChunkedBackend, available_backends, get_backend
+from repro.parallel import (
+    ChunkedBackend,
+    available_backends,
+    get_backend,
+    partitioned_greedy_color,
+    partitioned_kk_mis2,
+    partitioned_luby_mis1,
+)
 
 from tests.conftest import SMALL_GRAPH_CASES
 
@@ -254,13 +261,13 @@ def test_nonresident_baseline_bit_identical(partition_backend, graph_name, k):
     every backend — only the shipped-bytes accounting may differ."""
     g = SMALL_GRAPH_CASES[graph_name]
     ref = kk_mis2(g)
-    out = kk_mis2(g, partitions=k, backend=partition_backend, resident=False)
+    out = partitioned_kk_mis2(g, k, backend=partition_backend, resident=False)
     assert np.array_equal(ref.in_set, out.in_set)
     assert ref.iterations == out.iterations
     assert out.partition_stats.resident_bytes == 0
-    coloring = greedy_color(g, partitions=k, backend=partition_backend, resident=False)
+    coloring = partitioned_greedy_color(g, k, backend=partition_backend, resident=False)
     assert np.array_equal(greedy_color(g).colors, coloring.colors)
-    luby = luby_mis1(g, partitions=k, backend=partition_backend, resident=False)
+    luby = partitioned_luby_mis1(g, k, backend=partition_backend, resident=False)
     assert np.array_equal(luby_mis1(g).in_set, luby.in_set)
 
 
@@ -283,8 +290,8 @@ def test_shipped_bytes_accounting_identical_across_backends(resident, changed_de
     g = SMALL_GRAPH_CASES["gnp60"]
     reference = None
     for name, backend in sorted(PARTITION_BACKENDS.items()):
-        out = kk_mis2(
-            g, partitions=4, backend=backend,
+        out = partitioned_kk_mis2(
+            g, 4, backend=backend,
             resident=resident, changed_deltas=changed_deltas,
         )
         recorded = _deterministic_stats(out.partition_stats)
@@ -321,14 +328,14 @@ def test_full_halo_format_bit_identical_and_never_cheaper(partition_backend, gra
     produces bit-identical results on every backend, and the changed-delta
     default never ships more than it — per phase or in total."""
     g = SMALL_GRAPH_CASES[graph_name]
-    for kernel, extract in (
-        (kk_mis2, lambda r: r.in_set),
-        (luby_mis1, lambda r: r.in_set),
-        (greedy_color, lambda r: r.colors),
+    for kernel, driver, extract in (
+        (kk_mis2, partitioned_kk_mis2, lambda r: r.in_set),
+        (luby_mis1, partitioned_luby_mis1, lambda r: r.in_set),
+        (greedy_color, partitioned_greedy_color, lambda r: r.colors),
     ):
         ref = kernel(g)
         changed = kernel(g, partitions=4, backend=partition_backend)
-        full = kernel(g, partitions=4, backend=partition_backend, changed_deltas=False)
+        full = driver(g, 4, backend=partition_backend, changed_deltas=False)
         assert np.array_equal(extract(ref), extract(changed))
         assert np.array_equal(extract(ref), extract(full))
         sc, sf = changed.partition_stats, full.partition_stats

@@ -12,7 +12,9 @@ from repro.parallel import (
     build_partition_layout,
     get_backend,
     partition_vertices,
+    partitioned_greedy_color,
     partitioned_kk_mis2,
+    partitioned_luby_mis1,
     shipped_nbytes,
 )
 from repro.parallel.backends import (
@@ -456,8 +458,13 @@ class TestShippedNbytes:
 
 
 class _RecordingBackend(NumpyBackend):
-    """Backend whose resident sessions log every phase's (fn, tasks) stream
-    plus each part's session-open state snapshot."""
+    """Backend whose resident sessions log every submitted phase's (fn, tasks)
+    stream plus each part's session-open state snapshot.
+
+    It records ``run_async``, which both schedules submit through (``run`` is
+    sugar for it). Every recorded ``fn`` is ``partial(_phase_task, phase,
+    half)``, so ``fn.args`` names the phase-table row and the half.
+    """
 
     def __init__(self):
         self.phases = []
@@ -471,93 +478,114 @@ class _RecordingBackend(NumpyBackend):
         self.halo_locals = [p["halo_local"] for p in payloads]
         session = super().map_partitions_resident(token, payloads, states, resident)
         outer = self
-        original_run = session.run
+        original_run_async = session.run_async
 
-        def recording_run(fn, tasks):
+        def recording_run_async(fn, tasks, commit=True):
             tasks = list(tasks)
             outer.phases.append((fn, tasks))
-            return original_run(fn, tasks)
+            return original_run_async(fn, tasks, commit=commit)
 
-        session.run = recording_run
+        session.run_async = recording_run_async
         return session
 
 
 class TestChangedDeltaReconstruction:
     """The tentpole invariant, end-to-end: cumulatively applying the sparse
     changed-halo updates a part receives reconstructs exactly the full-halo
-    values the dense protocol ships at every phase."""
+    values the dense protocol ships at every phase — on the overlapped
+    default schedule and on the barrier schedule."""
 
     def test_kk_changed_updates_rebuild_full_halo_stream(self):
-        from repro.parallel.partitioned import (
-            _kk_resident_decide,
-            _kk_resident_refresh_column,
-            _kk_resident_refresh_row,
-        )
+        from repro.parallel.partitioned import _INTERIOR, _KK_PHASES
 
+        refresh_row = _KK_PHASES[0]
         g = random_gnp(90, 0.07, seed=11)
         layout = build_partition_layout(g, 4)
-        changed, full = _RecordingBackend(), _RecordingBackend()
-        # overlap=False: the recorder hooks session.run, the barrier entry point.
-        a = partitioned_kk_mis2(g, layout, backend=changed, changed_deltas=True, overlap=False)
-        b = partitioned_kk_mis2(g, layout, backend=full, changed_deltas=False, overlap=False)
-        assert np.array_equal(a.in_set, b.in_set)
-        assert len(changed.phases) == len(full.phases)
+        for overlap in (True, False):
+            changed, full = _RecordingBackend(), _RecordingBackend()
+            a = partitioned_kk_mis2(
+                g, layout, backend=changed, changed_deltas=True, overlap=overlap
+            )
+            b = partitioned_kk_mis2(
+                g, layout, backend=full, changed_deltas=False, overlap=overlap
+            )
+            assert np.array_equal(a.in_set, b.in_set)
+            assert len(changed.phases) == len(full.phases)
 
-        # Per (part, array) reconstruction state: the session-open halo values.
-        recon = {
-            (part, name): changed.initial_states[part][name][changed.halo_locals[part]]
-            for part in range(layout.num_parts)
-            for name in ("T", "M")
-        }
-        array_of = {_kk_resident_refresh_column: "T", _kk_resident_decide: "M"}
-        sparse_phases = 0
-        for (fn_c, tasks_c), (fn_f, tasks_f) in zip(changed.phases, full.phases):
-            assert fn_c is fn_f
-            assert [i for i, _ in tasks_c] == [i for i, _ in tasks_f]
-            if fn_c is _kk_resident_refresh_row:
-                # The worklist ships identically in both formats.
-                for (_, (w_c, it_c)), (_, (w_f, it_f)) in zip(tasks_c, tasks_f):
-                    assert np.array_equal(w_c, w_f) and it_c == it_f
-                continue
-            name = array_of[fn_c]
-            for (part, delta_c), (_, delta_f) in zip(tasks_c, tasks_f):
-                positions, values = delta_c[-1]
-                dense_positions, dense_values = delta_f[-1]
-                assert dense_positions is None  # full-halo mode is always dense
-                mirror = recon[(part, name)]
-                if positions is None:
-                    mirror[:] = values
-                else:
-                    sparse_phases += 1
-                    mirror[positions] = values
-                # The reconstruction invariant.
-                assert np.array_equal(mirror, dense_values)
-        assert sparse_phases > 0  # the changed format genuinely went sparse
+            # Per (part, array) reconstruction state: the session-open halo values.
+            recon = {
+                (part, name): changed.initial_states[part][name][changed.halo_locals[part]]
+                for part in range(layout.num_parts)
+                for name in ("T", "M")
+            }
+            sparse_phases = 0
+            for (fn_c, tasks_c), (fn_f, tasks_f) in zip(changed.phases, full.phases):
+                assert fn_c.args == fn_f.args  # same phase-table row, same half
+                assert [i for i, _ in tasks_c] == [i for i, _ in tasks_f]
+                phase, half = fn_c.args
+                if half == _INTERIOR:
+                    # A bare sub-worklist: halo updates ride the boundary half.
+                    continue
+                if phase is refresh_row:
+                    # The worklist ships identically in both formats.
+                    for (_, (w_c, it_c)), (_, (w_f, it_f)) in zip(tasks_c, tasks_f):
+                        assert np.array_equal(w_c, w_f) and it_c == it_f
+                    continue
+                (name,) = phase.reads
+                for (part, delta_c), (_, delta_f) in zip(tasks_c, tasks_f):
+                    positions, values = delta_c[-1]
+                    dense_positions, dense_values = delta_f[-1]
+                    assert dense_positions is None  # full-halo mode is always dense
+                    mirror = recon[(part, name)]
+                    if positions is None:
+                        mirror[:] = values
+                    else:
+                        sparse_phases += 1
+                        mirror[positions] = values
+                    # The reconstruction invariant.
+                    assert np.array_equal(mirror, dense_values)
+            assert sparse_phases > 0  # the changed format genuinely went sparse
 
     def test_decide_and_conflict_phases_ship_no_worklist_indices(self):
+        # ... nor do Luby's select and remove phases: every phase that reads
+        # the worker stash receives None where the indices would go.
         from repro.parallel.partitioned import (
-            _color_resident_conflict,
-            _kk_resident_decide,
-            partitioned_greedy_color,
+            _COLOR_PHASES,
+            _INTERIOR,
+            _KK_PHASES,
+            _LUBY_PHASES,
         )
 
         g = grid2d(6, 8)
-        for fn, run in (
-            (
-                _kk_resident_decide,
-                lambda b: partitioned_kk_mis2(g, 3, backend=b, overlap=False),
-            ),
-            (
-                _color_resident_conflict,
-                lambda b: partitioned_greedy_color(g, 3, backend=b, overlap=False),
-            ),
-        ):
-            recorder = _RecordingBackend()
-            run(recorder)
-            seen = [t for f, tasks in recorder.phases if f is fn for t in tasks]
-            assert seen
-            for _, delta in seen:
-                assert delta[0] is None  # worklist comes from the worker stash
+        for overlap in (True, False):
+            for phases, run in (
+                (
+                    _KK_PHASES[2:],
+                    lambda b: partitioned_kk_mis2(g, 3, backend=b, overlap=overlap),
+                ),
+                (
+                    _COLOR_PHASES[1:],
+                    lambda b: partitioned_greedy_color(g, 3, backend=b, overlap=overlap),
+                ),
+                (
+                    _LUBY_PHASES[1:],
+                    lambda b: partitioned_luby_mis1(g, 3, backend=b, overlap=overlap),
+                ),
+            ):
+                recorder = _RecordingBackend()
+                run(recorder)
+                for phase in phases:
+                    assert phase.indices == "stashed"
+                    seen = [
+                        (fn.args[1], delta)
+                        for fn, tasks in recorder.phases
+                        if fn.args[0] is phase
+                        for _, delta in tasks
+                    ]
+                    assert seen
+                    for half, delta in seen:
+                        # The worklist comes from the worker stash.
+                        assert (delta if half == _INTERIOR else delta[0]) is None
 
 
 class TestSmokeGraphByteMonotonicity:
@@ -571,13 +599,10 @@ class TestSmokeGraphByteMonotonicity:
 
         g = laplace3d(10, 10, 10) if generator == "laplace3d" else elasticity3d(6, 6, 6)
         layout = build_partition_layout(g, 4)
-        from repro.coloring import greedy_color as _greedy
-        from repro.mis import kk_mis2 as _kk
-
-        for kernel in (_kk, _greedy):
-            res = kernel(g, partitions=layout).partition_stats
-            base = kernel(g, partitions=layout, resident=False).partition_stats
-            full = kernel(g, partitions=layout, changed_deltas=False).partition_stats
+        for kernel in (partitioned_kk_mis2, partitioned_greedy_color):
+            res = kernel(g, layout).partition_stats
+            base = kernel(g, layout, resident=False).partition_stats
+            full = kernel(g, layout, changed_deltas=False).partition_stats
             assert res.supersteps == base.supersteps == full.supersteps
             assert res.max_superstep_bytes <= base.max_superstep_bytes
             assert res.resident_bytes + res.superstep_bytes < base.superstep_bytes
@@ -628,10 +653,10 @@ class TestOverlapEqualsBarrier:
         layout = build_partition_layout(g, 3)
         for run, values in (
             (
-                lambda ov: kk_mis2(
+                lambda ov: partitioned_kk_mis2(
                     g,
+                    layout,
                     seed=0,
-                    partitions=layout,
                     backend=backend,
                     changed_deltas=changed_deltas,
                     overlap=ov,
@@ -639,10 +664,10 @@ class TestOverlapEqualsBarrier:
                 lambda r: r.in_set,
             ),
             (
-                lambda ov: luby_mis1(
+                lambda ov: partitioned_luby_mis1(
                     g,
+                    layout,
                     seed=0,
-                    partitions=layout,
                     backend=backend,
                     changed_deltas=changed_deltas,
                     overlap=ov,
@@ -650,9 +675,9 @@ class TestOverlapEqualsBarrier:
                 lambda r: r.in_set,
             ),
             (
-                lambda ov: greedy_color(
+                lambda ov: partitioned_greedy_color(
                     g,
-                    partitions=layout,
+                    layout,
                     backend=backend,
                     changed_deltas=changed_deltas,
                     overlap=ov,
@@ -673,8 +698,8 @@ class TestOverlapEqualsBarrier:
         # to the barrier schedule there, bit-identically.
         g = grid2d(6, 6)
         layout = build_partition_layout(g, 3)
-        a = kk_mis2(g, partitions=layout, resident=False, overlap=True)
-        b = kk_mis2(g, partitions=layout, resident=False, overlap=False)
+        a = partitioned_kk_mis2(g, layout, resident=False, overlap=True)
+        b = partitioned_kk_mis2(g, layout, resident=False, overlap=False)
         assert np.array_equal(a.in_set, b.in_set)
         assert self._deterministic(a.partition_stats) == self._deterministic(
             b.partition_stats

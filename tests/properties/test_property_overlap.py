@@ -20,9 +20,13 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.coloring import greedy_color
-from repro.mis import kk_mis2, luby_mis1
-from repro.parallel import NumpyBackend, build_partition_layout
+from repro.parallel import (
+    NumpyBackend,
+    build_partition_layout,
+    partitioned_greedy_color,
+    partitioned_kk_mis2,
+    partitioned_luby_mis1,
+)
 from repro.parallel.backends import _LocalResidentSession
 
 from tests.properties.strategies import graphs
@@ -91,22 +95,22 @@ def _deterministic_stats(stats):
 _KERNELS = [
     (
         "kk",
-        lambda g, layout, backend, overlap: kk_mis2(
-            g, seed=0, partitions=layout, backend=backend, overlap=overlap
+        lambda g, layout, backend, overlap: partitioned_kk_mis2(
+            g, layout, seed=0, backend=backend, overlap=overlap
         ),
         lambda r: r.in_set,
     ),
     (
         "luby",
-        lambda g, layout, backend, overlap: luby_mis1(
-            g, seed=0, partitions=layout, backend=backend, overlap=overlap
+        lambda g, layout, backend, overlap: partitioned_luby_mis1(
+            g, layout, seed=0, backend=backend, overlap=overlap
         ),
         lambda r: r.in_set,
     ),
     (
         "color",
-        lambda g, layout, backend, overlap: greedy_color(
-            g, partitions=layout, backend=backend, overlap=overlap
+        lambda g, layout, backend, overlap: partitioned_greedy_color(
+            g, layout, backend=backend, overlap=overlap
         ),
         lambda r: r.colors,
     ),
@@ -132,13 +136,13 @@ def test_scrambled_full_halo_matches_barrier_full_halo(graph, k, seed):
     # The full-halo wire format exercises the explicit sub-worklist deltas
     # (the changed-delta protocol elides them), so scramble that path too.
     layout = build_partition_layout(graph, k)
-    barrier = kk_mis2(
-        graph, seed=0, partitions=layout, changed_deltas=False, overlap=False
+    barrier = partitioned_kk_mis2(
+        graph, layout, seed=0, changed_deltas=False, overlap=False
     )
-    overlapped = kk_mis2(
+    overlapped = partitioned_kk_mis2(
         graph,
+        layout,
         seed=0,
-        partitions=layout,
         backend=_ScrambledBackend(seed),
         changed_deltas=False,
         overlap=True,

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.coloring import greedy_color
 from repro.mis import kk_mis2, luby_mis1
-from repro.parallel import build_partition_layout, partition_vertices
+from repro.parallel import build_partition_layout, partition_vertices, partitioned_kk_mis2
 from repro.parallel.partitioned import HaloDeltaTracker, _scatter_changed
 
 from tests.properties.strategies import graphs
@@ -97,8 +97,8 @@ def test_resident_and_nonresident_paths_identical(case):
     the resident run never ships more in total than the baseline."""
     graph, labels = case
     ref = kk_mis2(graph)
-    resident = kk_mis2(graph, partitions=labels, resident=True)
-    baseline = kk_mis2(graph, partitions=labels, resident=False)
+    resident = partitioned_kk_mis2(graph, labels, resident=True)
+    baseline = partitioned_kk_mis2(graph, labels, resident=False)
     assert np.array_equal(ref.in_set, resident.in_set)
     assert np.array_equal(ref.in_set, baseline.in_set)
     assert ref.iterations == resident.iterations == baseline.iterations
@@ -119,8 +119,8 @@ def test_changed_and_full_delta_formats_identical(case):
     changed format never ships more — per phase or in total."""
     graph, labels = case
     ref = kk_mis2(graph)
-    changed = kk_mis2(graph, partitions=labels, changed_deltas=True)
-    full = kk_mis2(graph, partitions=labels, changed_deltas=False)
+    changed = partitioned_kk_mis2(graph, labels, changed_deltas=True)
+    full = partitioned_kk_mis2(graph, labels, changed_deltas=False)
     assert np.array_equal(ref.in_set, changed.in_set)
     assert np.array_equal(ref.in_set, full.in_set)
     assert ref.iterations == changed.iterations == full.iterations
