@@ -248,6 +248,25 @@ class TestFaultInjection:
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w)
 
+    def test_rank_death_between_open_and_first_phase_reinstalls(self):
+        # Session open only *submits* the installs; their acks resolve at the
+        # first phase. A rank that dies in between held nothing of this
+        # session the coordinator cannot re-send, so the session re-installs
+        # on the replacement rank and runs on bit-identically.
+        B = self._backend()
+        token = "tok/test-dist/install-death"
+        payloads, session = _make_session(B, token)
+        _, ref_session = _make_session(get_backend("numpy"), token)
+        with session, ref_session:
+            victim = session._cluster._handles[0]
+            victim.process.terminate()
+            victim.process.join(timeout=5.0)
+            for delta in (1, 2):
+                got = session.run(_weighted_sum, [(part, delta) for part in range(4)])
+                want = ref_session.run(_weighted_sum, [(part, delta) for part in range(4)])
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+
     def test_partitioned_kernel_recovers_after_rank_death(self):
         B = self._backend()
         graph = laplace3d(5, 5, 5)
