@@ -22,7 +22,8 @@ Four backends ship with the package:
     only at segment boundaries so per-segment results are identical to the
     reference. Also fans batches of independent graphs out over a process pool
     (:meth:`ExecutionBackend.map_graphs`), the sharding hook for multi-graph
-    benchmark sweeps.
+    benchmark sweeps; its resident partitioned sessions run on the rank
+    processes of :mod:`repro.parallel.distributed`.
 
 ``threaded`` (:class:`ThreadedBackend`)
     Shared-memory parallelism: the per-graph primitives are the NumPy
@@ -46,11 +47,9 @@ chunked backend precisely to preserve this guarantee.)
 from __future__ import annotations
 
 import atexit
-import itertools
 import os
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -135,12 +134,9 @@ def _drop_inherited_partition_pools() -> None:
     # Fork-started children inherit the parent's executor objects, whose worker
     # processes/threads and queues belong to the parent (threads don't survive
     # a fork at all); drop the references so a child that does reach the pool
-    # path builds its own. Resident slot pools (and the coordinator's view of
-    # what their workers hold) go the same way.
+    # path builds its own.
     _PARTITION_POOLS.clear()  # analysis-ok: lock-guard -- at-fork child is single-threaded; the inherited lock may be held by a parent thread that did not survive the fork, so taking it here could deadlock
     _PARTITION_THREAD_POOLS.clear()  # analysis-ok: lock-guard -- at-fork child is single-threaded; the inherited lock may be held by a parent thread that did not survive the fork, so taking it here could deadlock
-    _RESIDENT_SLOT_POOLS.clear()  # analysis-ok: lock-guard -- at-fork child is single-threaded; the inherited lock may be held by a parent thread that did not survive the fork, so taking it here could deadlock
-    _RESIDENT_SLOT_HAS.clear()  # analysis-ok: lock-guard -- at-fork child is single-threaded; the inherited lock may be held by a parent thread that did not survive the fork, so taking it here could deadlock
 
 
 if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
@@ -165,17 +161,15 @@ def _evict_partition_pool(workers: int, pool: ProcessPoolExecutor) -> None:
 
 
 def shutdown_partition_pools() -> None:
-    """Shut down every persistent ``map_partitions``/resident pool (idempotent)."""
+    """Shut down every persistent ``map_partitions`` pool (idempotent).
+
+    The ranks behind chunked resident sessions stop with
+    ``shutdown_rank_clusters``.
+    """
     with _PARTITION_POOL_LOCK:
-        pools = (
-            list(_PARTITION_POOLS.values())
-            + list(_PARTITION_THREAD_POOLS.values())
-            + list(_RESIDENT_SLOT_POOLS.values())
-        )
+        pools = list(_PARTITION_POOLS.values()) + list(_PARTITION_THREAD_POOLS.values())
         _PARTITION_POOLS.clear()
         _PARTITION_THREAD_POOLS.clear()
-        _RESIDENT_SLOT_POOLS.clear()
-        _RESIDENT_SLOT_HAS.clear()
     for pool in pools:
         pool.shutdown(wait=True, cancel_futures=True)
 
@@ -192,9 +186,11 @@ atexit.register(shutdown_partition_pools)
 # initial mutable state exactly once, pins part ``i`` to worker ``i % width``
 # for the life of the run, and afterwards ships only the per-superstep deltas
 # (changed-only halo updates, once-per-iteration worklist indices, phase
-# scalars) out and the touched-entry results back. This is the same execution
-# model a distributed backend needs — parts resident on ranks, supersteps
-# exchanging halo messages — expressed over a local process pool.
+# scalars) out and the touched-entry results back. Out of process the session
+# is the rank protocol of :mod:`repro.parallel.distributed` — parts resident on
+# rank processes, supersteps exchanging halo messages — and the chunked
+# backend opens its resident sessions there too. This module holds the shared
+# accounting base, the in-process session and the non-resident baseline.
 
 
 def shipped_nbytes(obj: Any) -> int:
@@ -565,301 +561,6 @@ class _UnpinnedResidentSession(ResidentSession):
         return collect
 
 
-# Worker-side process-global resident store. Payloads are keyed by
-# ``(layout token, part)`` and survive across sessions (a rerun on the same
-# layout re-ships nothing); states are keyed by ``(session key, part)`` and
-# live for exactly one session. The LRU never evicts the token currently being
-# installed, so a session's own parts cannot push each other out.
-_RESIDENT_PAYLOADS: "OrderedDict[Tuple[str, int], Any]" = OrderedDict()
-_RESIDENT_PAYLOAD_CAPACITY = 16
-_RESIDENT_STATES: "Dict[Tuple[int, int], Any]" = {}
-
-
-def _resident_install(args) -> bool:
-    """Worker task: store a part's payload (if shipped) and fresh session state.
-
-    Returns False when the coordinator skipped the payload but this worker does
-    not hold it (restarted worker, LRU eviction) — the coordinator re-sends.
-    """
-    token, part, payload, session_key, state = args
-    key = (token, part)
-    if payload is None:
-        if key not in _RESIDENT_PAYLOADS:
-            return False
-    else:
-        _RESIDENT_PAYLOADS[key] = payload
-    _RESIDENT_PAYLOADS.move_to_end(key)
-    if len(_RESIDENT_PAYLOADS) > _RESIDENT_PAYLOAD_CAPACITY:
-        # Evict oldest-first, *skipping* (never stopping at) entries of the
-        # token being installed: stopping at a protected head entry used to
-        # leave the store over capacity with other tokens' stale payloads
-        # parked behind it forever.
-        evictable = [k for k in _RESIDENT_PAYLOADS if k[0] != token]
-        for stale in evictable:
-            if len(_RESIDENT_PAYLOADS) <= _RESIDENT_PAYLOAD_CAPACITY:
-                break
-            del _RESIDENT_PAYLOADS[stale]
-    _RESIDENT_STATES[(session_key, part)] = state
-    return True
-
-
-class _ResidentPayloadMiss(RuntimeError):
-    """A slot worker evicted a payload whose session state is still live.
-
-    Raised worker-side (it pickles back through the pool) when a concurrent
-    session's installs pushed this part's payload out of the LRU store. The
-    coordinator still holds the payload, so :class:`_PinnedResidentSession`
-    recovers transparently by re-installing it and retrying the phase.
-    """
-
-
-def _resident_phase(args):
-    """Worker task: run one superstep phase against the resident part."""
-    token, session_key, part, fn, delta = args
-    state = _RESIDENT_STATES.get((session_key, part))
-    if state is None:
-        # Mutable state cannot be reconstructed by the coordinator; a worker
-        # that lost it (restart) ends the run.
-        raise RuntimeError(
-            f"resident state of part {part} (token {token!r}) missing in "
-            f"worker {os.getpid()} — the worker lost its store; rerun the kernel"
-        )
-    payload = _RESIDENT_PAYLOADS.get((token, part))
-    if payload is None:
-        raise _ResidentPayloadMiss(token, part)
-    _RESIDENT_PAYLOADS.move_to_end((token, part))
-    return fn(payload, state, delta)
-
-
-def _resident_restore_payload(args) -> bool:
-    """Worker task: re-install an LRU-evicted payload (state left untouched)."""
-    token, part, payload = args
-    _RESIDENT_PAYLOADS[(token, part)] = payload
-    _RESIDENT_PAYLOADS.move_to_end((token, part))
-    return True
-
-
-def _resident_forget(args) -> bool:
-    """Worker task: drop a closed session's states (payloads stay cached)."""
-    session_key, parts = args
-    for part in parts:
-        _RESIDENT_STATES.pop((session_key, part), None)
-    return True
-
-
-# How many restore-and-retry rounds a session attempts when a phase reports a
-# payload miss before giving up. One round is almost always enough (the
-# coordinator re-installs, the retry hits), but under a crowded slot a
-# *concurrent* session's installs can re-evict the payload between the restore
-# and the retry — a single-shot recovery then surfaces the raw miss as an
-# opaque failure. Bounded so two sessions ping-ponging a slot's LRU cannot
-# livelock the coordinator.
-_RESIDENT_MISS_ATTEMPTS = 3
-
-
-# Coordinator-side slot pools: slot ``j`` is a persistent single-worker
-# ProcessPoolExecutor permanently holding the parts with ``part % width == j``.
-# ``_RESIDENT_SLOT_HAS`` mirrors which (token, part) payloads each slot's
-# worker is believed to hold, so repeat sessions skip the payload pickle
-# entirely. The mirror is LRU-bounded to the worker store's capacity (it
-# would otherwise grow by one entry per kernel run forever) and self-heals in
-# both directions: a stale "known" entry costs one payload=None round trip
-# that the worker acks False (the entry is dropped and the payload re-sent),
-# a dropped entry merely re-ships a payload the worker still had.
-_RESIDENT_SLOT_POOLS: "Dict[int, ProcessPoolExecutor]" = {}  # guarded-by: _PARTITION_POOL_LOCK
-_RESIDENT_SLOT_HAS: "Dict[int, OrderedDict[Tuple[str, int], None]]" = {}  # guarded-by: _PARTITION_POOL_LOCK
-_RESIDENT_SESSION_KEYS = itertools.count(1)
-
-
-def _resident_slot(idx: int) -> ProcessPoolExecutor:
-    with _PARTITION_POOL_LOCK:
-        pool = _RESIDENT_SLOT_POOLS.get(idx)
-        if pool is None:
-            pool = ProcessPoolExecutor(max_workers=1)
-            _RESIDENT_SLOT_POOLS[idx] = pool
-            _RESIDENT_SLOT_HAS[idx] = OrderedDict()
-        return pool
-
-
-def _slot_known(slot: int, key: Tuple[str, int]) -> bool:
-    with _PARTITION_POOL_LOCK:
-        return key in _RESIDENT_SLOT_HAS.get(slot, ())
-
-
-def _slot_mark(slot: int, key: Tuple[str, int], present: bool) -> None:
-    with _PARTITION_POOL_LOCK:
-        mirror = _RESIDENT_SLOT_HAS.get(slot)
-        if mirror is None:
-            return
-        if not present:
-            mirror.pop(key, None)
-            return
-        mirror[key] = None
-        mirror.move_to_end(key)
-        while len(mirror) > _RESIDENT_PAYLOAD_CAPACITY:
-            mirror.popitem(last=False)
-
-
-def _evict_resident_slot(idx: int) -> None:
-    """Drop a broken slot pool so the next session builds a fresh worker."""
-    with _PARTITION_POOL_LOCK:
-        pool = _RESIDENT_SLOT_POOLS.pop(idx, None)
-        _RESIDENT_SLOT_HAS.pop(idx, None)
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-class _PinnedResidentSession(ResidentSession):
-    """Chunked-backend session: part ``i`` resides in slot ``i % width``.
-
-    Session open *submits* each part's payload (unless its slot already caches
-    the layout token) and fresh state to its slot worker without waiting — the
-    install acks resolve at the first phase submission (:meth:`_finish_install`),
-    so install latency overlaps the coordinator's superstep-0 preparation.
-    Every later superstep ships only ``(token, session, part, fn, delta)`` —
-    the CSR never crosses the pickle boundary again.
-    """
-
-    def __init__(
-        self, token: str, payloads: Sequence, states: Sequence, width: int
-    ) -> None:
-        super().__init__(token, payloads, states, resident=True)
-        #: Payloads are retained so an LRU-evicted one (a concurrent session
-        #: crowding a shared slot worker) can be re-installed transparently.
-        self._payloads = list(payloads)
-        self._key = next(_RESIDENT_SESSION_KEYS)
-        self._nslots = max(1, min(int(width), len(payloads)))
-        self._closed = False
-        pending: List = []
-        for part, (payload, state) in enumerate(zip(payloads, states)):
-            slot = part % self._nslots
-            pool = _resident_slot(slot)
-            known = _slot_known(slot, (token, part))
-            fut = pool.submit(
-                _resident_install,
-                (token, part, None if known else payload, self._key, state),
-            )
-            pending.append((slot, part, payload, state, fut))
-        self._pending_installs: Optional[List] = pending
-
-    def _finish_install(self) -> None:
-        """Resolve the deferred install acks (idempotent).
-
-        Must complete before any phase ships: a False ack means the worker
-        holds *neither* the payload nor this session's state (the install
-        task installs nothing on a payload miss), so the full install is
-        re-sent synchronously here. The single-worker slot pools are FIFO, so
-        even though the acks resolve late, the installs themselves executed
-        before any phase submitted after this call.
-        """
-        pending, self._pending_installs = self._pending_installs, None
-        if not pending:
-            return
-        for slot, part, payload, state, fut in pending:
-            try:
-                ok = fut.result()
-                if not ok:
-                    # Stale coordinator view (worker restarted or evicted the
-                    # payload underneath us); drop the entry, ship the payload.
-                    _slot_mark(slot, (self.token, part), present=False)
-                    _resident_slot(slot).submit(
-                        _resident_install,
-                        (self.token, part, payload, self._key, state),
-                    ).result()
-            except BrokenProcessPool:
-                _evict_resident_slot(slot)
-                raise
-            _slot_mark(slot, (self.token, part), present=True)
-
-    def _submit(self, fn: Callable, tasks: Sequence[Tuple[int, Any]]) -> Callable[[], List]:
-        if self._pending_installs is not None:
-            self._finish_install()
-        futures = [
-            _resident_slot(i % self._nslots).submit(
-                _resident_phase, (self.token, self._key, i, fn, delta)
-            )
-            for i, delta in tasks
-        ]
-        return lambda: self._collect(fn, tasks, futures)
-
-    def _collect(self, fn: Callable, tasks: Sequence[Tuple[int, Any]], futures) -> List:
-        try:
-            results: List = []
-            for (i, delta), fut in zip(tasks, futures):
-                try:
-                    results.append(fut.result())
-                except _ResidentPayloadMiss:
-                    # The worker still has this part's state but another
-                    # session's installs evicted the payload; re-ship it and
-                    # retry the phase (the task has not run yet). A concurrent
-                    # session crowding the slot can re-evict between the
-                    # restore and the retry, so the recovery loops — bounded,
-                    # with a clear error on exhaustion.
-                    slot = i % self._nslots
-                    for attempt in range(_RESIDENT_MISS_ATTEMPTS):
-                        pool = _resident_slot(slot)
-                        pool.submit(
-                            _resident_restore_payload,
-                            (self.token, i, self._payloads[i]),
-                        ).result()
-                        _slot_mark(slot, (self.token, i), present=True)
-                        try:
-                            results.append(
-                                pool.submit(
-                                    _resident_phase,
-                                    (self.token, self._key, i, fn, delta),
-                                ).result()
-                            )
-                            break
-                        except _ResidentPayloadMiss:
-                            continue
-                    else:
-                        raise RuntimeError(
-                            f"payload of part {i} (token {self.token!r}) was "
-                            f"evicted again after each of "
-                            f"{_RESIDENT_MISS_ATTEMPTS} restore attempts — "
-                            f"slot {slot}'s worker store is too crowded for "
-                            f"the concurrent sessions sharing it; raise "
-                            f"_RESIDENT_PAYLOAD_CAPACITY or serialise the runs"
-                        ) from None
-            return results
-        except BrokenProcessPool:
-            # A slot worker died; its resident state is unrecoverable, so the
-            # run cannot continue — but evict every slot so later sessions get
-            # healthy workers instead of permanently failing pools.
-            for slot in range(self._nslots):
-                _evict_resident_slot(slot)
-            raise
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._pending_installs is not None:
-            # A session closed before its first phase still owes the ack
-            # resolution (a False ack left the worker without this session's
-            # state; resolving makes the forget below exact). Best effort —
-            # a broken slot has lost the states anyway.
-            try:
-                self._finish_install()
-            except Exception:
-                pass
-        by_slot: Dict[int, List[int]] = {}
-        for part in range(self.num_parts):
-            by_slot.setdefault(part % self._nslots, []).append(part)
-        for slot, parts in by_slot.items():
-            with _PARTITION_POOL_LOCK:
-                pool = _RESIDENT_SLOT_POOLS.get(slot)
-            if pool is None:
-                # The slot was evicted/shut down — its states are gone already.
-                continue
-            try:
-                pool.submit(_resident_forget, (self._key, parts)).result()
-            except Exception:
-                # Best effort: a dead slot has already lost the states anyway.
-                pass
-
-
 def numba_available() -> bool:
     """True when the optional :mod:`numba` dependency is importable."""
     try:
@@ -991,10 +692,11 @@ class ExecutionBackend:
 
         The reference implementation keeps everything in the caller's address
         space (trivially correct for the serial and threaded backends); the
-        chunked backend pins part ``i`` to a persistent slot worker, and a
-        distributed backend would pin parts to ranks the same way. Pass
-        ``resident=False`` for the non-resident baseline, which re-ships
-        payload+state every superstep (and accounts it).
+        chunked and distributed backends pin part ``i`` to rank process
+        ``i % ranks`` over the rank protocol of
+        :mod:`repro.parallel.distributed`. Pass ``resident=False`` for the
+        non-resident baseline, which re-ships payload+state every superstep
+        (and accounts it).
         """
         return _LocalResidentSession(token, payloads, states, resident=resident)
 
@@ -1033,8 +735,10 @@ class ChunkedBackend(ExecutionBackend):
         Target number of flat elements per block (default 32768, about 256 KiB
         of int64 values — comfortably cache-sized).
     processes:
-        Worker-pool width for :meth:`map_graphs`. ``None`` uses the CPU count;
-        1 executes inline.
+        Worker-pool width for :meth:`map_graphs` and :meth:`map_partitions`,
+        and the rank count of resident sessions
+        (:meth:`map_partitions_resident`). ``None`` uses the CPU count; 1
+        executes inline.
     """
 
     name = "chunked"
@@ -1264,11 +968,11 @@ class ChunkedBackend(ExecutionBackend):
         states: Sequence,
         resident: bool = True,
     ) -> ResidentSession:
-        """Open a part-pinned session over persistent single-worker slot pools.
+        """Open a rank-pinned session on the shared ``processes``-rank cluster.
 
-        Part ``i`` is pinned to slot ``i % width`` for the life of the session
-        (and, because slot pools and their payload caches persist, across
-        sessions sharing a layout token), so the per-part CSR is pickled at
+        The session is the distributed backend's: part ``i`` resides on rank
+        process ``i % processes``, whose payload cache is keyed by the layout
+        token and persists across sessions, so the per-part CSR is pickled at
         most once per run. Single-worker configurations, single-part layouts
         and calls from inside a ``map_graphs`` pool worker fall back to the
         in-process session; ``resident=False`` selects the non-resident
@@ -1280,7 +984,12 @@ class ChunkedBackend(ExecutionBackend):
             return _LocalResidentSession(token, payloads, states, resident=resident)
         if not resident:
             return _UnpinnedResidentSession(self, token, payloads, states)
-        return _PinnedResidentSession(token, payloads, states, width=workers)
+        # Looked up by name, as a kernel's ``backend="distributed"`` is. An
+        # import would pull the transport's deadline and backoff clocks, which
+        # never feed results, into the static determinism scope of
+        # ``repro.analysis``.
+        ranks = get_backend("distributed").with_jobs(workers)
+        return ranks.map_partitions_resident(token, payloads, states)
 
     def with_jobs(self, jobs: Optional[int]) -> "ChunkedBackend":
         if jobs is None:

@@ -28,7 +28,9 @@ Protocol (one coordinator connection per rank, request/response, pipelined):
     matter how often the message is re-sent). A rank that lost the payload
     replies ``("miss",)`` — the coordinator restores it and retries, bounded;
     one that lost the *state* replies ``("error", ...)`` (states are not
-    reconstructible — see the rank-death story below).
+    reconstructible — see the rank-death story below). A failing ``fn``
+    replies ``("error", text, exc)``; the coordinator re-raises ``exc``, or a
+    RuntimeError with ``text`` when the exception does not pickle.
 ``("restore", token, part, payload)`` / ``("forget", session_key, parts)``
     Payload re-install after an LRU miss; session close (drops states and the
     phase dedup cache, payloads stay cached for reruns on the same layout).
@@ -43,12 +45,13 @@ parking early arrivals for their own collect, and a reconnect re-sends
 exactly the unanswered backlog. Untagged messages remain understood for the
 shutdown path and direct protocol probes.
 
-Rank-side storage *is* the process-global resident store of
-:mod:`repro.parallel.backends` (``_resident_install`` / ``_resident_phase`` /
-``_resident_forget``), so the cache semantics — payloads keyed by ``(layout
-token, part)`` surviving across sessions, states keyed by ``(session, part)``
-living for exactly one, LRU bounded by ``_RESIDENT_PAYLOAD_CAPACITY`` — are
-identical to the chunked backend's slot workers by construction.
+Rank-side storage is the process-global resident store defined beside the
+rank dispatch below (``_resident_install`` / ``_resident_phase`` /
+``_resident_forget``): payloads keyed by ``(layout token, part)`` survive
+across sessions, states keyed by ``(session, part)`` live for exactly one,
+and the payload LRU is bounded by ``_RESIDENT_PAYLOAD_CAPACITY``. This is the
+only out-of-process session in the package: the chunked backend opens its
+resident sessions here too, on the shared cluster for its worker width.
 
 Failure story, in two tiers:
 
@@ -94,6 +97,7 @@ from .transport import (
     MessageListener,
     TransportError,
     connect_with_retry,
+    crosses_intact,
 )
 
 __all__ = [
@@ -120,9 +124,105 @@ class RankDeathError(RuntimeError):
 
 # --------------------------------------------------------------- rank process
 #
-# Each rank is a daemon child process running an accept/serve loop. The
-# resident stores are the module globals of repro.parallel.backends, reused
-# verbatim so rank-side cache behaviour is identical to a chunked slot worker.
+# Each rank is a daemon child process running an accept/serve loop over the
+# resident stores below (module globals, so they live for the rank process).
+
+# Rank-side process-global resident store. Payloads are keyed by
+# ``(layout token, part)`` and survive across sessions (a rerun on the same
+# layout re-ships nothing); states are keyed by ``(session key, part)`` and
+# live for exactly one session. The LRU never evicts the token currently being
+# installed, so a session's own parts cannot push each other out.
+_RESIDENT_PAYLOADS: "OrderedDict[Tuple[str, int], Any]" = OrderedDict()
+_RESIDENT_PAYLOAD_CAPACITY = 16
+_RESIDENT_STATES: "Dict[Tuple[int, int], Any]" = {}
+
+
+def _resident_install(args) -> bool:
+    """Rank task: store a part's payload (if shipped) and fresh session state.
+
+    Returns False when the coordinator skipped the payload but this rank does
+    not hold it (restarted rank, LRU eviction) — the coordinator re-sends.
+    """
+    token, part, payload, session_key, state = args
+    key = (token, part)
+    if payload is None:
+        if key not in _RESIDENT_PAYLOADS:
+            return False
+    else:
+        _RESIDENT_PAYLOADS[key] = payload
+    _RESIDENT_PAYLOADS.move_to_end(key)
+    if len(_RESIDENT_PAYLOADS) > _RESIDENT_PAYLOAD_CAPACITY:
+        # Evict oldest-first, *skipping* (never stopping at) entries of the
+        # token being installed: stopping at a protected head entry used to
+        # leave the store over capacity with other tokens' stale payloads
+        # parked behind it forever.
+        evictable = [k for k in _RESIDENT_PAYLOADS if k[0] != token]
+        for stale in evictable:
+            if len(_RESIDENT_PAYLOADS) <= _RESIDENT_PAYLOAD_CAPACITY:
+                break
+            del _RESIDENT_PAYLOADS[stale]
+    _RESIDENT_STATES[(session_key, part)] = state
+    return True
+
+
+class _ResidentPayloadMiss(RuntimeError):
+    """A rank evicted a payload whose session state is still live.
+
+    Raised rank-side (the dispatch answers it as ``("miss",)``) when a
+    concurrent session's installs pushed this part's payload out of the LRU
+    store. The coordinator still holds the payload, so
+    :class:`_DistributedResidentSession` recovers transparently by restoring
+    it and retrying the phase.
+    """
+
+
+def _resident_phase(args):
+    """Rank task: run one superstep phase against the resident part."""
+    token, session_key, part, fn, delta = args
+    state = _RESIDENT_STATES.get((session_key, part))
+    if state is None:
+        # Mutable state cannot be reconstructed by the coordinator; a rank
+        # that lost it (restart) ends the run.
+        raise RuntimeError(
+            f"resident state of part {part} (token {token!r}) missing in "
+            f"rank process {os.getpid()} — the rank lost its store; rerun the kernel"
+        )
+    payload = _RESIDENT_PAYLOADS.get((token, part))
+    if payload is None:
+        raise _ResidentPayloadMiss(token, part)
+    _RESIDENT_PAYLOADS.move_to_end((token, part))
+    return fn(payload, state, delta)
+
+
+def _resident_restore_payload(args) -> bool:
+    """Rank task: re-install an LRU-evicted payload (state left untouched)."""
+    token, part, payload = args
+    _RESIDENT_PAYLOADS[(token, part)] = payload
+    _RESIDENT_PAYLOADS.move_to_end((token, part))
+    return True
+
+
+def _resident_forget(args) -> bool:
+    """Rank task: drop a closed session's states (payloads stay cached)."""
+    session_key, parts = args
+    for part in parts:
+        _RESIDENT_STATES.pop((session_key, part), None)
+    return True
+
+
+# How many restore-and-retry rounds a session attempts when a phase reports a
+# payload miss before giving up. One round is almost always enough (the
+# coordinator re-installs, the retry hits), but on a crowded rank a
+# *concurrent* session's installs can re-evict the payload between the restore
+# and the retry — a single-shot recovery then surfaces the raw miss as an
+# opaque failure. Bounded so two sessions ping-ponging a rank's LRU cannot
+# livelock the coordinator.
+_RESIDENT_MISS_ATTEMPTS = 3
+
+#: Source of coordinator-unique session keys (the ``(session, part)`` half of
+#: the rank-side state key).
+_RESIDENT_SESSION_KEYS = itertools.count(1)
+
 
 #: Rank-side phase dedup: ``(session_key, part, seq) -> result``. A phase
 #: message replayed after a reconnect is answered from here without re-running
@@ -157,26 +257,29 @@ def _rank_reply(msg: tuple) -> tuple:
             _PHASE_DONE.move_to_end(done_key)
             return ("result", _PHASE_DONE[done_key])
         try:
-            result = _B._resident_phase((token, session_key, part, fn, delta))
-        except _B._ResidentPayloadMiss:
+            result = _resident_phase((token, session_key, part, fn, delta))
+        except _ResidentPayloadMiss:
             return ("miss",)
         except Exception as exc:
-            return ("error", f"{type(exc).__name__}: {exc}")
+            # The task's own exception ships too when it can cross the wire
+            # intact, so the coordinator re-raises the task's own type.
+            portable = exc if crosses_intact(exc) else None
+            return ("error", f"{type(exc).__name__}: {exc}", portable)
         _PHASE_DONE[done_key] = result
         while len(_PHASE_DONE) > _PHASE_DONE_CAPACITY:
             _PHASE_DONE.popitem(last=False)
         return ("result", result)
     if kind == "install":
         try:
-            return ("ok", _B._resident_install(msg[1:]))
+            return ("ok", _resident_install(msg[1:]))
         except Exception as exc:
             return ("error", f"{type(exc).__name__}: {exc}")
     if kind == "restore":
-        _B._resident_restore_payload(msg[1:])
+        _resident_restore_payload(msg[1:])
         return ("ok", True)
     if kind == "forget":
         _, session_key, parts = msg
-        _B._resident_forget((session_key, parts))
+        _resident_forget((session_key, parts))
         for done_key in [k for k in _PHASE_DONE if k[0] == session_key]:
             del _PHASE_DONE[done_key]
         return ("ok", True)
@@ -249,8 +352,13 @@ class _RankHandle:
         self.conn: Optional[MessageConnection] = None  # guarded-by: lock
         self.lock = threading.Lock()
         #: Mirror of which ``(token, part)`` payloads the rank is believed to
-        #: hold (LRU-bounded like the worker store; self-heals through the
-        #: install ack in both directions — see the chunked slot mirror).
+        #: hold, so repeat sessions skip the payload pickle entirely. It is
+        #: LRU-bounded to the rank store's capacity (it would otherwise grow
+        #: by one entry per kernel run forever) and self-heals through the
+        #: install ack in both directions: a stale "known" entry costs one
+        #: ``payload=None`` round trip that the rank acks False (the entry is
+        #: dropped and the payload re-sent), a dropped entry merely re-ships a
+        #: payload the rank still had.
         self.known: "OrderedDict[Tuple[str, int], None]" = OrderedDict()  # guarded-by: lock
         #: Request-id source for the multiplexed request/response protocol.
         self.rids = itertools.count(1)  # guarded-by: lock
@@ -301,10 +409,11 @@ class RankCluster:
     """N localhost rank processes plus the coordinator-side request machinery.
 
     One cluster exists per rank count and is shared by every
-    :class:`DistributedBackend` instance in the process (like the chunked
-    backend's slot pools) — which is what lets payload caches survive across
-    sessions and runs. Requests are batched per rank (send all, then receive
-    all) so ranks compute concurrently while the coordinator drains replies.
+    :class:`DistributedBackend` instance in the process (and by the chunked
+    backend's resident sessions of the same width) — which is what lets
+    payload caches survive across sessions and runs. Requests are batched per
+    rank (send all, then receive all) so ranks compute concurrently while the
+    coordinator drains replies.
     """
 
     def __init__(self, nranks: int, retry_attempts: int = 4, retry_delay: float = 0.05) -> None:
@@ -536,7 +645,7 @@ class RankCluster:
                 return
             handle.known[key] = None
             handle.known.move_to_end(key)
-            while len(handle.known) > _B._RESIDENT_PAYLOAD_CAPACITY:
+            while len(handle.known) > _RESIDENT_PAYLOAD_CAPACITY:
                 handle.known.popitem(last=False)
 
     # ------------------------------------------------------------------ meters
@@ -635,27 +744,25 @@ class _DistributedResidentSession(ResidentSession):
         token: str,
         payloads: Sequence,
         states: Sequence,
-        miss_attempts: int = _B._RESIDENT_MISS_ATTEMPTS,
     ) -> None:
         super().__init__(token, payloads, states, resident=True)
         self._cluster = cluster
         #: Retained so an LRU-evicted payload can be restored transparently.
         self._payloads = list(payloads)
-        self._key = next(_B._RESIDENT_SESSION_KEYS)
+        self._key = next(_RESIDENT_SESSION_KEYS)
         self._nranks = max(1, min(cluster.nranks, len(payloads)))
-        self._miss_attempts = int(miss_attempts)
         self._seq = 0
         self._closed = False
         self._stats_open = cluster.stats()
         self._init_states = list(states)
-        by_rank: Dict[int, List[int]] = {}
+        self._parts_by_rank: Dict[int, List[int]] = {}
         for part in range(self.num_parts):
-            by_rank.setdefault(part % self._nranks, []).append(part)
+            self._parts_by_rank.setdefault(part % self._nranks, []).append(part)
         # Pipelined install: the payload/state batches are *submitted* here but
         # their acks resolve at the first phase submission (_finish_install),
         # so the install latency overlaps the coordinator's superstep-0 prep.
         pending: Dict[int, Tuple[List[Tuple[int, bool]], List[int]]] = {}
-        for rank, parts in by_rank.items():
+        for rank, parts in self._parts_by_rank.items():
             try:
                 pending[rank] = self._submit_install(rank, parts)
             except RankDeathError:
@@ -702,7 +809,8 @@ class _DistributedResidentSession(ResidentSession):
             try:
                 self._finish_install_on_rank(rank, entries, rids)
             except RankDeathError:
-                self._install_on_rank(rank, [part for part, _ in entries], self._init_states)
+                parts = [part for part, _ in entries]
+                self._finish_install_on_rank(rank, *self._submit_install(rank, parts))
 
     def _finish_install_on_rank(
         self, rank: int, entries: Sequence[Tuple[int, bool]], rids: Sequence[int]
@@ -732,40 +840,6 @@ class _DistributedResidentSession(ResidentSession):
         for part, _ in entries:
             cluster.mark(rank, (self.token, part), present=True)
 
-    def _install_on_rank(self, rank: int, parts: Sequence[int], states: Sequence) -> None:
-        cluster = self._cluster
-        entries = [(part, cluster.known(rank, (self.token, part))) for part in parts]
-        replies = cluster.request(
-            rank,
-            [
-                ("install", self.token, part,
-                 None if known else self._payloads[part], self._key, states[part])
-                for part, known in entries
-            ],
-        )
-        resend = []
-        for (part, known), reply in zip(entries, replies):
-            if not self._expect_ok(reply, "install", part):
-                # Stale mirror (rank restarted or evicted underneath us):
-                # drop the entry and ship the payload after all.
-                cluster.mark(rank, (self.token, part), present=False)
-                resend.append(part)
-        if resend:
-            for part, reply in zip(
-                resend,
-                cluster.request(
-                    rank,
-                    [
-                        ("install", self.token, part, self._payloads[part],
-                         self._key, states[part])
-                        for part in resend
-                    ],
-                ),
-            ):
-                self._expect_ok(reply, "install", part, required=True)
-        for part in parts:
-            cluster.mark(rank, (self.token, part), present=True)
-
     # ------------------------------------------------------------------ helpers
     def _expect_ok(self, reply: tuple, what: str, part: int, required: bool = False) -> bool:
         if reply[0] == "ok":
@@ -784,7 +858,7 @@ class _DistributedResidentSession(ResidentSession):
         self, rank: int, seq: int, part: int, fn: Callable, delta, reply: tuple
     ) -> Any:
         """Turn one phase reply into a result, recovering bounded payload misses."""
-        for _ in range(self._miss_attempts):
+        for _ in range(_RESIDENT_MISS_ATTEMPTS):
             if reply[0] != "miss":
                 break
             # The rank still holds this part's state but a concurrent
@@ -801,11 +875,13 @@ class _DistributedResidentSession(ResidentSession):
         if reply[0] == "miss":
             raise RuntimeError(
                 f"payload of part {part} (token {self.token!r}) was evicted "
-                f"again after each of {self._miss_attempts} restore attempts — "
+                f"again after each of {_RESIDENT_MISS_ATTEMPTS} restore attempts — "
                 f"rank {rank}'s payload cache is too crowded for the concurrent "
                 f"sessions sharing it"
             )
         if reply[0] == "error":
+            if reply[2] is not None:
+                raise reply[2]
             raise RuntimeError(
                 f"rank-side phase of part {part} (token {self.token!r}) "
                 f"failed: {reply[1]}"
@@ -863,10 +939,7 @@ class _DistributedResidentSession(ResidentSession):
                 self._finish_install()
             except (RankDeathError, RuntimeError):
                 pass
-        by_rank: Dict[int, List[int]] = {}
-        for part in range(self.num_parts):
-            by_rank.setdefault(part % self._nranks, []).append(part)
-        for rank, parts in by_rank.items():
+        for rank, parts in self._parts_by_rank.items():
             try:
                 self._cluster.request(rank, [("forget", self._key, parts)])
             except (RankDeathError, RuntimeError):

@@ -75,9 +75,10 @@ and ships each part only the halo positions changed since its last refresh,
 as ``(positions, values)`` pairs with a dense fallback; each iteration's
 worklist indices ship once, with the phase that stashes them in worker-side
 ``state`` for the later phases that re-read them. Every backend implements
-the same session — in-process, pinned slot workers, or rank processes over
-sockets (:mod:`repro.parallel.distributed`) — and the engine does not
-change, which is exactly what this seam is for. Shipped bytes are accounted
+the same session — in process, or on rank processes over sockets
+(:mod:`repro.parallel.distributed`, which the chunked backend's resident
+sessions use too) — and the engine does not change, which is exactly what
+this seam is for. Shipped bytes are accounted
 logically (array ``nbytes``, identical on every backend), in **both
 directions** — deltas out, result arrays back — and recorded on
 ``PartitionStats``.

@@ -49,6 +49,7 @@ __all__ = [
     "MessageListener",
     "TransportError",
     "connect_with_retry",
+    "crosses_intact",
 ]
 
 #: ``(host, port)`` — the only address shape the socket transport speaks.
@@ -228,6 +229,19 @@ class MessageListener:
             self._sock.close()
         except OSError:  # pragma: no cover
             pass
+
+
+def crosses_intact(obj: Any) -> bool:
+    """Whether ``obj`` survives this transport's encoding round trip.
+
+    Pickling can succeed and unpickling still fail (an exception class whose
+    ``__init__`` signature differs from its ``args``), so both ways are tried.
+    """
+    try:
+        pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+    except Exception:
+        return False
+    return True
 
 
 def _interruptible_sleep(seconds: float, abort: Optional[Callable[[], bool]]) -> bool:

@@ -22,7 +22,7 @@ from repro.parallel import (
     resolve_backend,
     set_default_backend,
 )
-from repro.parallel import backends
+from repro.parallel import backends, distributed
 from repro.parallel.backends import _REGISTRY
 
 
@@ -312,8 +312,8 @@ class TestNumbaBackend:
 
 
 def _install(token, part, payload, session_key, state):
-    """Shorthand for the worker-side install task, called in-process."""
-    return backends._resident_install((token, part, payload, session_key, state))
+    """Shorthand for the rank-side install task, called in-process."""
+    return distributed._resident_install((token, part, payload, session_key, state))
 
 
 class TestResidentInstallEviction:
@@ -321,9 +321,9 @@ class TestResidentInstallEviction:
 
     @pytest.fixture(autouse=True)
     def _isolated_store(self, monkeypatch):
-        monkeypatch.setattr(backends, "_RESIDENT_PAYLOADS", OrderedDict())
-        monkeypatch.setattr(backends, "_RESIDENT_STATES", {})
-        monkeypatch.setattr(backends, "_RESIDENT_PAYLOAD_CAPACITY", 3)
+        monkeypatch.setattr(distributed, "_RESIDENT_PAYLOADS", OrderedDict())
+        monkeypatch.setattr(distributed, "_RESIDENT_STATES", {})
+        monkeypatch.setattr(distributed, "_RESIDENT_PAYLOAD_CAPACITY", 3)
 
     def test_protected_head_entry_does_not_block_eviction(self):
         # Interleave two tokens past capacity so the installing token's own
@@ -334,8 +334,8 @@ class TestResidentInstallEviction:
         _install("B", 0, "pB0", 2, "sB0")
         _install("B", 1, "pB1", 2, "sB1")
         _install("A", 1, "pA1", 1, "sA1")  # head is now ("A", 0): protected
-        store = backends._RESIDENT_PAYLOADS
-        assert len(store) <= backends._RESIDENT_PAYLOAD_CAPACITY
+        store = distributed._RESIDENT_PAYLOADS
+        assert len(store) <= distributed._RESIDENT_PAYLOAD_CAPACITY
         # The oldest *other-token* entry was evicted; A's entries survive.
         assert ("B", 0) not in store
         assert set(store) == {("A", 0), ("B", 1), ("A", 1)}
@@ -346,7 +346,7 @@ class TestResidentInstallEviction:
         # live session's parts would make it thrash within a single superstep).
         for part in range(5):
             _install("A", part, f"p{part}", 1, f"s{part}")
-        store = backends._RESIDENT_PAYLOADS
+        store = distributed._RESIDENT_PAYLOADS
         assert set(store) == {("A", part) for part in range(5)}
 
     def test_eviction_is_oldest_first_among_unprotected(self):
@@ -354,90 +354,8 @@ class TestResidentInstallEviction:
         _install("C", 0, "pC0", 3, "sC0")
         _install("B", 1, "pB1", 2, "sB1")
         _install("A", 0, "pA0", 1, "sA0")
-        assert ("B", 0) not in backends._RESIDENT_PAYLOADS  # oldest went first
-        assert ("C", 0) in backends._RESIDENT_PAYLOADS
-
-
-# ---- worker-side helpers for the payload-miss retry tests (module level so
-# ---- the single-worker slot pool can unpickle them by reference)
-
-def _drop_payload(args):
-    """Worker task: evict one payload behind the coordinator's back."""
-    token, part = args
-    backends._RESIDENT_PAYLOADS.pop((token, part), None)
-    return True
-
-
-_FLAKY_RESTORE_FAILURES = 0
-
-# Bound at import time: a slot worker forked while the coordinator's
-# monkeypatch is active would otherwise resolve the patched module attribute
-# and recurse into the stand-in instead of the real restore.
-_REAL_RESTORE = backends._resident_restore_payload
-
-
-def _arm_flaky_restore(failures):
-    """Worker task: make the next ``failures`` restores silently do nothing."""
-    global _FLAKY_RESTORE_FAILURES
-    _FLAKY_RESTORE_FAILURES = failures
-    return True
-
-
-def _flaky_restore(args):
-    """Worker task standing in for ``_resident_restore_payload``: drops the
-    first N restore requests on the floor (as if a concurrent session re-evicted
-    the payload between the restore and the retry), then behaves normally."""
-    global _FLAKY_RESTORE_FAILURES
-    if _FLAKY_RESTORE_FAILURES > 0:
-        _FLAKY_RESTORE_FAILURES -= 1
-        return True
-    return _REAL_RESTORE(args)
-
-
-def _never_restore(args):
-    """Worker task: every restore is lost — the exhaustion path."""
-    return True
-
-
-def _double_state(payload, state, delta):
-    state["x"] = state["x"] * 2 + delta
-    return state["x"].copy()
-
-
-class TestPinnedSessionMissRetry:
-    """The `_ResidentPayloadMiss` recovery must survive repeated evictions."""
-
-    def _session(self):
-        payloads = [{"w": np.arange(3)}]
-        states = [{"x": np.ones(3, dtype=np.int64)}]
-        return backends._PinnedResidentSession(
-            f"tok/miss-retry/{next(backends._RESIDENT_SESSION_KEYS)}",
-            payloads,
-            states,
-            width=1,
-        )
-
-    def test_double_eviction_recovers(self, monkeypatch):
-        # Force the phase to miss, then make the first restore vanish too (a
-        # concurrent session re-evicting between restore and retry). The old
-        # single-shot recovery surfaced the second miss as a raw failure; the
-        # bounded loop must recover and produce the right result.
-        monkeypatch.setattr(backends, "_resident_restore_payload", _flaky_restore)
-        with self._session() as session:
-            pool = backends._resident_slot(0)
-            pool.submit(_drop_payload, (session.token, 0)).result()
-            pool.submit(_arm_flaky_restore, 1).result()
-            (result,) = session.run(_double_state, [(0, 5)])
-        assert np.array_equal(result, np.ones(3, dtype=np.int64) * 2 + 5)
-
-    def test_exhaustion_raises_clear_error(self, monkeypatch):
-        monkeypatch.setattr(backends, "_resident_restore_payload", _never_restore)
-        with self._session() as session:
-            backends._resident_slot(0).submit(
-                _drop_payload, (session.token, 0)
-            ).result()
-            with pytest.raises(RuntimeError, match="evicted again after each of"):
-                session.run(_double_state, [(0, 5)])
+        assert ("B", 0) not in distributed._RESIDENT_PAYLOADS  # oldest went first
+        assert ("C", 0) in distributed._RESIDENT_PAYLOADS
 
 
 def test_every_registered_backend_is_an_execution_backend():

@@ -18,6 +18,7 @@ from repro.parallel import (
     TransportError,
     get_backend,
     partitioned_kk_mis2,
+    shutdown_rank_clusters,
 )
 from repro.parallel import backends as backends_mod
 from repro.parallel import distributed as distributed_mod
@@ -194,6 +195,42 @@ class TestExactlyOnce:
                 # Replay returns the cached result; the counter did not move.
                 assert reply == ("result", 1)
             assert session.run(_count_calls, [(p, None) for p in range(parts)]) == [2, 2]
+
+
+class _TaskError(ValueError):
+    pass
+
+
+class _OneWayError(Exception):
+    """Pickles, but unpickling rebuilds it from ``args`` and its two-argument
+    ``__init__`` rejects that."""
+
+    def __init__(self, left, right):
+        super().__init__(f"{left}/{right}")
+
+
+def _raise_task_error(payload, state, delta):
+    raise _TaskError("task failed")
+
+
+def _raise_one_way_error(payload, state, delta):
+    raise _OneWayError("left", "right")
+
+
+class TestTaskErrors:
+    def test_task_exception_reraises_with_its_own_type(self):
+        B = get_backend("distributed")
+        _, session = _make_session(B, "tok/test-dist/task-error", parts=2)
+        with session:
+            with pytest.raises(_TaskError, match="task failed"):
+                session.run(_raise_task_error, [(0, None), (1, None)])
+
+    def test_exception_that_cannot_cross_ships_as_text(self):
+        B = get_backend("distributed")
+        _, session = _make_session(B, "tok/test-dist/one-way-error", parts=2)
+        with session:
+            with pytest.raises(RuntimeError, match="_OneWayError: left/right"):
+                session.run(_raise_one_way_error, [(0, None)])
 
 
 class TestFaultInjection:
@@ -388,7 +425,7 @@ class TestPhaseDedupCacheBound:
         monkeypatch.setattr(distributed_mod, "_PHASE_DONE_CAPACITY", 8)
         distributed_mod._PHASE_DONE.clear()
         token, key = "tok/test-dist/bound", 987654321
-        backends_mod._resident_install(
+        distributed_mod._resident_install(
             (token, 0, {"w": np.arange(2)}, key, {"calls": 0})
         )
         try:
@@ -411,3 +448,83 @@ class TestPhaseDedupCacheBound:
         finally:
             distributed_mod._rank_reply(("forget", key, [0]))
             assert not any(k[0] == key for k in distributed_mod._PHASE_DONE)
+
+
+# ---- rank-side helpers for the payload-miss retry tests: phase functions
+# ---- (pickled by reference) that reach into the rank process's own store
+
+_FLAKY_RESTORE_FAILURES = 0
+
+# Bound at import time, before any phase swaps the rank's module attribute,
+# so the stand-in delegates to the real restore instead of to itself.
+_REAL_RESTORE = distributed_mod._resident_restore_payload
+
+
+def _flaky_restore(args):
+    """Stand-in for ``_resident_restore_payload``: drops the first N restore
+    requests on the floor (as if a concurrent session re-evicted the payload
+    between the restore and the retry), then behaves normally."""
+    global _FLAKY_RESTORE_FAILURES
+    if _FLAKY_RESTORE_FAILURES > 0:
+        _FLAKY_RESTORE_FAILURES -= 1
+        return True
+    return _REAL_RESTORE(args)
+
+
+def _never_restore(args):
+    """Stand-in for ``_resident_restore_payload``: every restore is lost."""
+    return True
+
+
+def _sabotage_store(payload, state, delta):
+    """Phase run inside the rank: swap the named stand-in in for the rank's
+    restore, then evict this part's payload behind the coordinator's back
+    (this phase has already been handed the payload, so it completes)."""
+    global _FLAKY_RESTORE_FAILURES
+    token, part, restore, failures = delta
+    _FLAKY_RESTORE_FAILURES = failures
+    distributed_mod._resident_restore_payload = globals()[restore]
+    del distributed_mod._RESIDENT_PAYLOADS[(token, part)]
+    return True
+
+
+def _double_state(payload, state, delta):
+    state["x"] = state["x"] * 2 + delta
+    return state["x"].copy()
+
+
+class TestPayloadMissRetry:
+    """The ``("miss",)`` recovery must survive repeated evictions."""
+
+    # A dedicated rank count: the phases below patch the rank processes'
+    # module globals, so the clusters are shut down after each test.
+    RANKS = 3
+
+    @pytest.fixture(autouse=True)
+    def _fresh_ranks(self):
+        yield
+        shutdown_rank_clusters()
+
+    def _session(self, token):
+        payloads = [{"w": np.arange(3)} for _ in range(2)]
+        states = [{"x": np.ones(3, dtype=np.int64)} for _ in range(2)]
+        backend = DistributedBackend(ranks=self.RANKS, retry_delay=0.01)
+        return backend.map_partitions_resident(token, payloads, states)
+
+    def test_double_eviction_recovers(self):
+        # Force the phase to miss, then make the first restore vanish too (a
+        # concurrent session re-evicting between restore and retry). A
+        # single-shot recovery surfaces the second miss as a raw failure; the
+        # bounded loop must recover and produce the right result.
+        token = "tok/test-dist/miss-retry"
+        with self._session(token) as session:
+            session.run(_sabotage_store, [(0, (token, 0, "_flaky_restore", 1))])
+            (result,) = session.run(_double_state, [(0, 5)])
+        assert np.array_equal(result, np.ones(3, dtype=np.int64) * 2 + 5)
+
+    def test_exhaustion_raises_clear_error(self):
+        token = "tok/test-dist/miss-exhausted"
+        with self._session(token) as session:
+            session.run(_sabotage_store, [(0, (token, 0, "_never_restore", 0))])
+            with pytest.raises(RuntimeError, match="evicted again after each of"):
+                session.run(_double_state, [(0, 5)])

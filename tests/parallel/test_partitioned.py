@@ -19,8 +19,13 @@ from repro.parallel import (
 )
 from repro.parallel.backends import (
     _PARTITION_POOLS,
-    _RESIDENT_SLOT_POOLS,
+    _LocalResidentSession,
     shutdown_partition_pools,
+)
+from repro.parallel.distributed import (
+    _CLUSTERS,
+    _DistributedResidentSession,
+    shutdown_rank_clusters,
 )
 
 
@@ -288,32 +293,48 @@ class TestResidentSessions:
         assert [int(s["acc"][0]) for s in states] == [10, 10, 10, 10]
 
     def test_chunked_pinned_session_ships_payload_once(self):
-        shutdown_partition_pools()
+        shutdown_rank_clusters()
         backend = ChunkedBackend(processes=2)
         payloads, states = self._payloads_states(k=3)
         with backend.map_partitions_resident("pin-1", payloads, states) as session:
+            assert isinstance(session, _DistributedResidentSession)
             outs = session.run(_resident_add, [(0, 1), (1, 2), (2, 3)])
             assert outs == [1, 3, 5]
-            # Worker-retained state accumulates without re-shipping payloads.
+            # Rank-retained state accumulates without re-shipping payloads.
             outs = session.run(_resident_add, [(0, 10), (2, 30)])
             assert outs == [0 + 1 + 10, 2 + 3 + 30]
-        # Slot pools persist (keyed by slot index) for the next session.
-        assert sorted(_RESIDENT_SLOT_POOLS) == [0, 1]
-        shutdown_partition_pools()
-        assert not _RESIDENT_SLOT_POOLS
+        # The rank cluster (keyed by width) persists for the next session, its
+        # mirror holding each payload on rank ``part % 2``.
+        assert sorted(_CLUSTERS) == [2]
+        cluster = _CLUSTERS[2]
+        assert all(cluster.known(part % 2, ("pin-1", part)) for part in range(3))
+        shutdown_rank_clusters()
+        assert not _CLUSTERS
 
     def test_chunked_session_reuses_cached_payload_across_runs(self):
-        shutdown_partition_pools()
+        shutdown_rank_clusters()
         backend = ChunkedBackend(processes=2)
-        payloads, states = self._payloads_states(k=2)
+        # 32 KiB payloads, so one re-shipped payload dwarfs a whole session's
+        # install, phase and framing traffic on the wire.
+        payloads, states = self._payloads_states(k=2, size=4096)
         with backend.map_partitions_resident("reuse", payloads, states) as s1:
             assert s1.run(_resident_add, [(0, 1), (1, 1)]) == [1, 2]
-        # Same token, fresh states: the install round-trip skips the payload
-        # (the worker already holds it) and state starts clean.
-        _, fresh_states = self._payloads_states(k=2)
+        cluster = _CLUSTERS[2]
+        assert cluster.known(0, ("reuse", 0)) and cluster.known(1, ("reuse", 1))
+        # Same token, fresh states: the installs go out without the payload
+        # (the ranks already hold it), the acks confirm it (a False ack would
+        # re-ship the payload), and state starts clean.
+        _, fresh_states = self._payloads_states(k=2, size=4096)
         with backend.map_partitions_resident("reuse", payloads, fresh_states) as s2:
+            skipped = [
+                known
+                for entries, _ in s2._pending_install.values()
+                for _, known in entries
+            ]
+            assert skipped == [True, True]
             assert s2.run(_resident_add, [(0, 5), (1, 5)]) == [5, 6]
-        shutdown_partition_pools()
+            assert s2.measured_stats()["bytes_sent"] < shipped_nbytes(payloads[0])
+        shutdown_rank_clusters()
 
     def test_chunked_nonresident_session_round_trips_state(self):
         shutdown_partition_pools()
@@ -328,41 +349,47 @@ class TestResidentSessions:
         shutdown_partition_pools()
 
     def test_chunked_single_worker_falls_back_inline(self):
-        shutdown_partition_pools()
+        shutdown_rank_clusters()
         backend = ChunkedBackend(processes=1)
         payloads, states = self._payloads_states(k=2)
         session = backend.map_partitions_resident("inline", payloads, states)
+        assert isinstance(session, _LocalResidentSession)
         assert session.run(_resident_add, [(0, 2), (1, 2)]) == [2, 3]
-        assert not _RESIDENT_SLOT_POOLS  # no pools for an inline session
+        assert not _CLUSTERS  # no ranks for an inline session
         assert states[0]["acc"][0] == 2  # genuinely in-process
 
     def test_payload_evicted_by_concurrent_sessions_is_reinstalled(self):
-        # Crowd the shared slot workers with enough other tokens to push the
-        # first session's payloads out of the worker-side LRU store; its next
-        # phase must transparently re-install and retry, not abort the run.
-        shutdown_partition_pools()
+        # Crowd the shared ranks with enough other tokens to push the first
+        # session's payloads out of the rank-side LRU store; its next phase
+        # must transparently restore and retry, not abort the run.
+        shutdown_rank_clusters()
         backend = ChunkedBackend(processes=2)
         payloads, states = self._payloads_states(k=2)
         with backend.map_partitions_resident("evicted", payloads, states) as victim:
+            assert isinstance(victim, _DistributedResidentSession)
             assert victim.run(_resident_add, [(0, 1), (1, 1)]) == [1, 2]
-            for n in range(20):  # worker store capacity is 16 per process
+            for n in range(20):  # rank store capacity is 16 per process
                 others, other_states = self._payloads_states(k=2)
                 with backend.map_partitions_resident(f"crowd-{n}", others, other_states) as s:
                     s.run(_resident_add, [(0, 0), (1, 0)])
             # State survived (it is session-keyed, not LRU-evicted), so the
             # accumulator continues from the pre-eviction value.
             assert victim.run(_resident_add, [(0, 2), (1, 3)]) == [0 + 1 + 2, 1 + 1 + 3]
-        shutdown_partition_pools()
+        shutdown_rank_clusters()
 
-    def test_more_parts_than_workers_share_slots(self):
-        shutdown_partition_pools()
+    def test_more_parts_than_workers_share_ranks(self):
+        shutdown_rank_clusters()
         backend = ChunkedBackend(processes=2)
         payloads, states = self._payloads_states(k=5)
         with backend.map_partitions_resident("wide", payloads, states) as session:
             outs = session.run(_resident_add, [(i, 100) for i in range(5)])
             assert outs == [100 + i for i in range(5)]
-        assert sorted(_RESIDENT_SLOT_POOLS) == [0, 1]
-        shutdown_partition_pools()
+        # One two-rank cluster holds all five parts, part ``i`` on rank ``i % 2``.
+        assert sorted(_CLUSTERS) == [2]
+        cluster = _CLUSTERS[2]
+        assert all(cluster.known(i % 2, ("wide", i)) for i in range(5))
+        assert not any(cluster.known((i + 1) % 2, ("wide", i)) for i in range(5))
+        shutdown_rank_clusters()
 
     def test_kernel_bytes_accounting_on_drivers(self):
         g = random_gnp(60, 0.08, seed=2)

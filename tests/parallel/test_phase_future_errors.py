@@ -112,7 +112,8 @@ class TestStepGroupFailure:
 
 
 class TestStepGroupFailureChunked:
-    """The pinned (process-pool) session has its own collect path — cover it."""
+    """Chunked's resident session runs on rank processes, whose collect path
+    carries a task's own exception back over the wire — cover it."""
 
     def test_failed_member_is_loud_and_uncommitted(self):
         session = _make_session("chunked", token="tok/phase-errors-chunked")
