@@ -11,7 +11,7 @@ identical across execution backends.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,24 +58,27 @@ class ColoringResult:
 
 
 def _speculative_assign(
-    graph: CSRGraph,
-    colors: np.ndarray,
-    worklist: np.ndarray,
-    max_colors: int,
-    B: ExecutionBackend,
+    nbr_colors: np.ndarray, row: np.ndarray, rows: int, max_colors: int
 ) -> np.ndarray:
-    """Smallest color not used by any colored neighbour, for each worklist vertex."""
-    slots, seg = B.expand_rows(graph.rowmap, worklist)
-    nbr_colors = colors[graph.entries[slots].astype(np.int64)]
-    lens = np.diff(seg)
-    owner = np.repeat(np.arange(worklist.size, dtype=np.int64), lens)
-    forbidden = np.zeros((worklist.size, max_colors + 1), dtype=bool)
+    """Smallest color not used by any colored neighbour, for each of ``rows`` rows.
+
+    ``nbr_colors[i]`` is the color (``-1`` when uncolored) of a neighbour of row
+    ``row[i]``.
+    """
+    forbidden = np.zeros((rows, max_colors + 1), dtype=bool)
     valid = nbr_colors >= 0
-    clipped = np.minimum(nbr_colors[valid], max_colors)
-    forbidden[owner[valid], clipped] = True
+    forbidden[row[valid], np.minimum(nbr_colors[valid], max_colors)] = True
     # First available color per row (there is always one because a vertex has at most
     # max_colors-1 <= degree neighbours).
     return np.argmin(forbidden, axis=1).astype(np.int64)
+
+
+def _compact_colors(colors: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Renumber non-negative color ids to a dense ``[0, k)`` range; returns ``(colors, k)``."""
+    used = np.flatnonzero(np.bincount(colors))
+    remap = -np.ones(int(used.max(initial=-1)) + 1, dtype=np.int64)
+    remap[used] = np.arange(used.size, dtype=np.int64)
+    return remap[colors], int(used.size)
 
 
 def greedy_color(
@@ -129,22 +132,26 @@ def greedy_color(
     while worklist.size > 0:
         if rounds >= cap:
             raise RuntimeError("greedy coloring did not converge (conflict loop)")
-        # Speculative assignment.
-        proposal = _speculative_assign(graph, colors, worklist, max_colors, B)
-        colors[worklist] = proposal
+        # One expansion of the worklist's rows serves both passes; the worklist is
+        # strictly increasing, and row[i] is the worklist position owning slot i.
         slots, seg = B.expand_rows(graph.rowmap, worklist)
         nbrs = graph.entries[slots].astype(np.int64)
-        lens = np.diff(seg)
-        owners = np.repeat(worklist, lens)
+        row = np.repeat(np.arange(worklist.size, dtype=np.int64), np.diff(seg))
+        # Speculative assignment.
+        proposal = _speculative_assign(colors[nbrs], row, worklist.size, max_colors)
+        colors[worklist] = proposal
         traffic.add(
             "color_assign",
             bytes_read=4 * worklist.size + 8 * worklist.size + 4 * slots.size + 8 * slots.size,
             bytes_written=8 * worklist.size,
         )
         # Conflict detection: an edge whose endpoints share a color uncolors the
-        # higher-id endpoint (deterministic tie-break).
-        conflict_mask = (colors[owners] == colors[nbrs]) & (owners > nbrs)
-        losers = np.unique(owners[conflict_mask])
+        # higher-id endpoint (deterministic tie-break). Marking the losing rows keeps
+        # the losers sorted and unique without a sort.
+        conflict = (proposal[row] == colors[nbrs]) & (worklist[row] > nbrs)
+        lost = np.zeros(worklist.size, dtype=bool)
+        lost[row[conflict]] = True
+        losers = worklist[lost]
         colors[losers] = -1
         traffic.add(
             "color_conflicts",
@@ -154,10 +161,7 @@ def greedy_color(
         worklist = losers
         rounds += 1
 
-    used = np.unique(colors)
-    # Compact color ids to a dense range (greedy first-fit already yields dense ids,
-    # but renumber defensively so downstream color-class loops are simple).
-    remap = -np.ones(int(used.max()) + 1, dtype=np.int64)
-    remap[used] = np.arange(used.size, dtype=np.int64)
-    colors = remap[colors]
-    return ColoringResult(colors, int(used.size), rounds, traffic, distance=1, backend=B.name)
+    # Greedy first-fit already yields dense ids, but renumber defensively so
+    # downstream color-class loops are simple.
+    colors, num_colors = _compact_colors(colors)
+    return ColoringResult(colors, num_colors, rounds, traffic, distance=1, backend=B.name)

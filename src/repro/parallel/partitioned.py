@@ -747,29 +747,26 @@ def _luby_still_undecided(payload, state, local):
 
 def _color_assign(payload, state, local, _scalar):
     """Speculative colors for ``local``: the smallest color no neighbour has."""
-    colors = state["colors"]
+    from ..coloring.greedy import _speculative_assign
+
     slots, seg = _ref.expand_rows(payload["rowmap"], local)
-    nbr_colors = colors[payload["entries"][slots]]
-    owner = np.repeat(np.arange(local.size, dtype=np.int64), np.diff(seg))
-    max_colors = payload["max_colors"]
-    forbidden = np.zeros((local.size, max_colors + 1), dtype=bool)
-    valid = nbr_colors >= 0
-    forbidden[owner[valid], np.minimum(nbr_colors[valid], max_colors)] = True
-    return np.argmin(forbidden, axis=1).astype(np.int64)
+    row = np.repeat(np.arange(local.size, dtype=np.int64), np.diff(seg))
+    nbr_colors = state["colors"][payload["entries"][slots]]
+    return _speculative_assign(nbr_colors, row, local.size, payload["max_colors"])
 
 
 def _color_conflict(payload, state, local, _scalar):
     """Local indices of the conflict losers (higher global id of a
-    same-color edge) among ``local``."""
+    same-color edge) among ``local``, in ``local``'s (increasing) order."""
     colors = state["colors"]
     ids = payload["ids"]
     slots, seg = _ref.expand_rows(payload["rowmap"], local)
     nbr = payload["entries"][slots]
-    lens = np.diff(seg)
-    owners_local = np.repeat(local, lens)
-    owners_global = np.repeat(ids[local], lens)
-    conflict = (colors[owners_local] == colors[nbr]) & (owners_global > ids[nbr])
-    return np.unique(owners_local[conflict])
+    row = np.repeat(np.arange(local.size, dtype=np.int64), np.diff(seg))
+    conflict = (colors[local][row] == colors[nbr]) & (ids[local][row] > ids[nbr])
+    lost = np.zeros(local.size, dtype=bool)
+    lost[row[conflict]] = True
+    return local[lost]
 
 
 # ---------------------------------------------------------------- phase tables
@@ -1280,7 +1277,7 @@ def partitioned_greedy_color(
     full-halo wire format, ``overlap=False`` the barrier schedule — results
     are bit-identical in every combination.
     """
-    from ..coloring.greedy import ColoringResult
+    from ..coloring.greedy import ColoringResult, _compact_colors
 
     B = resolve_backend(backend)
     layout = build_partition_layout(graph, partitions)
@@ -1304,12 +1301,10 @@ def partitioned_greedy_color(
         changed_deltas=changed_deltas,
         overlap=overlap,
     )
-    used = np.unique(colors)
-    remap = -np.ones(int(used.max(initial=-1)) + 1, dtype=np.int64)
-    remap[used] = np.arange(used.size, dtype=np.int64)
+    colors, num_colors = _compact_colors(colors)
     return ColoringResult(
-        remap[colors],
-        int(used.size),
+        colors,
+        num_colors,
         rounds,
         traffic,
         distance=1,

@@ -10,8 +10,10 @@ from repro.graph import (
     empty_graph,
     grid2d,
     path_graph,
+    random_gnp,
     star_graph,
 )
+from repro.parallel import NumpyBackend
 
 
 class TestCorrectness:
@@ -79,3 +81,29 @@ class TestResultObject:
     def test_traffic_recorded(self, small_laplace3d):
         result = greedy_color(small_laplace3d)
         assert result.traffic.num_kernels >= 2
+
+
+class _ExpandCountingBackend(NumpyBackend):
+    """NumPy backend that counts its ``expand_rows`` calls."""
+
+    def __init__(self):
+        self.expand_calls = 0
+
+    def expand_rows(self, rowmap, rows):
+        self.expand_calls += 1
+        return super().expand_rows(rowmap, rows)
+
+
+class TestRoundStructure:
+    @pytest.mark.parametrize(
+        "make", [lambda: grid2d(9, 11), lambda: random_gnp(150, 0.06, seed=4)]
+    )
+    def test_one_row_expansion_per_round(self, make):
+        # Speculative assignment and conflict detection share one expansion of
+        # the round's worklist rows.
+        graph = make()
+        backend = _ExpandCountingBackend()
+        result = greedy_color(graph, backend=backend)
+        assert result.rounds > 1
+        assert backend.expand_calls == result.rounds
+        assert np.array_equal(result.colors, greedy_color(graph, backend="numpy").colors)
