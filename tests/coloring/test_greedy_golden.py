@@ -1,6 +1,6 @@
 """Golden results for the flat (unpartitioned) greedy coloring kernels.
 
-``partitioned_golden.json`` pins the partitioned driver only; the flat
+``partitioned_golden.json`` pins the partitioned kernels only; the flat
 kernels it is compared against are pinned here. For each graph this test
 checks the round count, the color count, the per-kernel modelled traffic
 and a SHA-256 of the colors of :func:`greedy_color` and
