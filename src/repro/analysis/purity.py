@@ -1,7 +1,7 @@
 """Picklability and backend purity at the execution seam.
 
 * ``pickle-callable`` — the first argument to ``map_graphs``/
-  ``map_partitions*``/``run_async`` crosses a process (or socket) boundary,
+  ``map_partitions_resident``/``run_async`` crosses a process (or socket) boundary,
   so it must be a module-level callable.  Lambdas and functions defined
   inside another function close over frames and fail (or silently diverge)
   under the chunked and distributed backends.  ``functools.partial`` is
@@ -23,7 +23,6 @@ from .modules import ModuleInfo
 #: Seam entry points whose first positional argument must be picklable.
 SEAM_CALLS: Tuple[str, ...] = (
     "map_graphs",
-    "map_partitions",
     "map_partitions_resident",
     "run_async",
 )

@@ -4,10 +4,6 @@ The paper's implementation is written against the Kokkos programming model so th
 single source runs on CUDA, HIP and OpenMP backends. This package provides the Python
 analogue used by the reproduction:
 
-* :mod:`~repro.parallel.execution` — execution spaces (:class:`SerialSpace`,
-  :class:`VectorSpace`, :class:`ThreadSpace`) exposing ``parallel_for``,
-  ``parallel_reduce`` and ``parallel_scan`` with bulk-synchronous, deterministic
-  semantics.
 * :mod:`~repro.parallel.primitives` — the vectorised segmented/row-wise primitives the
   graph kernels are built from (segmented min/any/all over CSR rows, exclusive scans,
   stream compaction).
@@ -26,14 +22,6 @@ analogue used by the reproduction:
 
 from __future__ import annotations
 
-from .execution import (
-    ExecutionSpace,
-    SerialSpace,
-    VectorSpace,
-    ThreadSpace,
-    default_space,
-    available_spaces,
-)
 from .primitives import (
     exclusive_scan,
     inclusive_scan,
@@ -107,12 +95,6 @@ from .partitioned import (
 )
 
 __all__ = [
-    "ExecutionSpace",
-    "SerialSpace",
-    "VectorSpace",
-    "ThreadSpace",
-    "default_space",
-    "available_spaces",
     "exclusive_scan",
     "inclusive_scan",
     "stream_compact",

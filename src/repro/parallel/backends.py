@@ -51,7 +51,6 @@ import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -93,32 +92,25 @@ def _pool_map(executor_cls, width: Optional[int], fn: Callable, items: Sequence)
         return list(pool.map(fn, items))
 
 
-# Persistent process pools for ``map_partitions``: partitioned kernels dispatch
-# one small batch of per-part tasks per superstep phase, many times per run, so
-# paying a fresh ProcessPoolExecutor spin-up on every phase would dominate the
-# wall clock. Pools are keyed by width, created lazily, shared by every
-# ChunkedBackend instance in the process and torn down at interpreter exit.
-_PARTITION_POOLS: "Dict[int, ProcessPoolExecutor]" = {}  # guarded-by: _PARTITION_POOL_LOCK
-_PARTITION_POOL_LOCK = threading.Lock()
-
-
 def _in_worker_process() -> bool:
     """True when this process is itself a multiprocessing pool worker.
 
     A partitioned kernel running inside a ``map_graphs`` process-pool worker
-    must not nest another process pool (cpu² oversubscription, and re-pickling
-    every snapshot); its parts execute inline instead — the outer pool already
-    provides the parallelism.
+    must not open rank processes of its own (cpu² oversubscription, and
+    re-pickling every payload); its parts execute in process instead — the
+    outer pool already provides the parallelism.
     """
     import multiprocessing
 
     return multiprocessing.parent_process() is not None
 
 
-# The threaded backend gets the same persistence: supersteps are just as
-# frequent there, and while thread spin-up is far cheaper than a process pool,
-# paying it 3x per kernel iteration is still pointless.
+# Persistent thread pools for threaded resident sessions: a partitioned kernel
+# runs several superstep phases per iteration, so paying pool spin-up on every
+# phase is pointless. Pools are keyed by width, created lazily, shared by every
+# ThreadedBackend instance in the process and torn down at interpreter exit.
 _PARTITION_THREAD_POOLS: "Dict[int, ThreadPoolExecutor]" = {}  # guarded-by: _PARTITION_POOL_LOCK
+_PARTITION_POOL_LOCK = threading.Lock()
 
 
 def _partition_thread_pool(workers: int) -> ThreadPoolExecutor:
@@ -132,10 +124,9 @@ def _partition_thread_pool(workers: int) -> ThreadPoolExecutor:
 
 def _drop_inherited_partition_pools() -> None:
     # Fork-started children inherit the parent's executor objects, whose worker
-    # processes/threads and queues belong to the parent (threads don't survive
-    # a fork at all); drop the references so a child that does reach the pool
-    # path builds its own.
-    _PARTITION_POOLS.clear()  # analysis-ok: lock-guard -- at-fork child is single-threaded; the inherited lock may be held by a parent thread that did not survive the fork, so taking it here could deadlock
+    # threads and queues belong to the parent (threads don't survive a fork at
+    # all); drop the references so a child that does reach the pool path
+    # builds its own.
     _PARTITION_THREAD_POOLS.clear()  # analysis-ok: lock-guard -- at-fork child is single-threaded; the inherited lock may be held by a parent thread that did not survive the fork, so taking it here could deadlock
 
 
@@ -143,32 +134,14 @@ if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
     os.register_at_fork(after_in_child=_drop_inherited_partition_pools)
 
 
-def _partition_pool(workers: int) -> ProcessPoolExecutor:
-    with _PARTITION_POOL_LOCK:
-        pool = _PARTITION_POOLS.get(workers)
-        if pool is None:
-            pool = ProcessPoolExecutor(max_workers=workers)
-            _PARTITION_POOLS[workers] = pool
-        return pool
-
-
-def _evict_partition_pool(workers: int, pool: ProcessPoolExecutor) -> None:
-    """Drop a broken pool from the cache so the next call builds a fresh one."""
-    with _PARTITION_POOL_LOCK:
-        if _PARTITION_POOLS.get(workers) is pool:
-            del _PARTITION_POOLS[workers]
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
 def shutdown_partition_pools() -> None:
-    """Shut down every persistent ``map_partitions`` pool (idempotent).
+    """Shut down every persistent threaded-session pool (idempotent).
 
-    The ranks behind chunked resident sessions stop with
+    The ranks behind chunked and distributed resident sessions stop with
     ``shutdown_rank_clusters``.
     """
     with _PARTITION_POOL_LOCK:
-        pools = list(_PARTITION_POOLS.values()) + list(_PARTITION_THREAD_POOLS.values())
-        _PARTITION_POOLS.clear()
+        pools = list(_PARTITION_THREAD_POOLS.values())
         _PARTITION_THREAD_POOLS.clear()
     for pool in pools:
         pool.shutdown(wait=True, cancel_futures=True)
@@ -179,18 +152,18 @@ atexit.register(shutdown_partition_pools)
 
 # ------------------------------------------------------------ resident sessions
 #
-# ``map_partitions`` ships every per-part task whole, which re-pickles the
-# loop-invariant per-part CSR on every superstep of a partitioned kernel. The
-# resident seam fixes that: a kernel run opens a *session* that ships each
-# part's immutable payload (local CSR, index maps, static parameters) and its
-# initial mutable state exactly once, pins part ``i`` to worker ``i % width``
-# for the life of the run, and afterwards ships only the per-superstep deltas
+# Every partitioned kernel run opens a *session* that ships each part's
+# immutable payload (local CSR, index maps, static parameters) and its initial
+# mutable state exactly once, pins part ``i`` to worker ``i % width`` for the
+# life of the run, and afterwards ships only the per-superstep deltas
 # (changed-only halo updates, once-per-iteration worklist indices, phase
 # scalars) out and the touched-entry results back. Out of process the session
 # is the rank protocol of :mod:`repro.parallel.distributed` — parts resident on
 # rank processes, supersteps exchanging halo messages — and the chunked
 # backend opens its resident sessions there too. This module holds the shared
-# accounting base, the in-process session and the non-resident baseline.
+# accounting base and the in-process session, which also runs the
+# non-resident baseline (``resident=False``) on every backend: the base class
+# charges that mode the full per-superstep round trip of payload+state.
 
 
 def shipped_nbytes(obj: Any) -> int:
@@ -483,9 +456,10 @@ class ResidentSession:
 class _LocalResidentSession(ResidentSession):
     """In-address-space session: payloads and states live in the session.
 
-    The serial reference and the threaded backend both use it — tasks read and
-    mutate the caller's arrays directly, so it is trivially correct (nothing
-    ever crosses a pickle boundary). An optional thread pool fans the per-part
+    The serial reference, the threaded backend and every backend's
+    non-resident baseline use it — tasks read and mutate the caller's arrays
+    directly, so it is trivially correct (nothing ever crosses a pickle
+    boundary). An optional thread pool fans the per-part
     tasks out; each task touches only its own part's state, so the fan-out is
     race-free.
     """
@@ -516,49 +490,6 @@ class _LocalResidentSession(ResidentSession):
         if pool is None or len(calls) <= 1:
             return lambda: [fn(p, s, d) for p, s, d in calls]
         return lambda: list(pool.map(lambda c: fn(*c), calls))
-
-
-def _unpinned_phase(args):
-    """Non-resident pool task: payload+state cross the boundary both ways."""
-    payload, state, fn, delta = args
-    return fn(payload, state, delta), state
-
-
-class _UnpinnedResidentSession(ResidentSession):
-    """Non-resident process-pool baseline (the pre-affinity behaviour).
-
-    Coordinator-held payloads and states are shipped through the regular
-    ``map_partitions`` pool on *every* superstep and the (possibly mutated)
-    states return with the results — the cost profile the resident seam
-    exists to eliminate, kept runnable so ``repro.bench compare`` can gate
-    the improvement.
-    """
-
-    def __init__(
-        self, backend: "ExecutionBackend", token: str, payloads: Sequence, states: Sequence
-    ) -> None:
-        super().__init__(token, payloads, states, resident=False)
-        self._backend = backend
-        self._payloads = list(payloads)
-        self._states = list(states)
-
-    def _state_nbytes(self, part: int) -> int:
-        return shipped_nbytes(self._states[part])
-
-    def _submit(self, fn: Callable, tasks: Sequence[Tuple[int, Any]]) -> Callable[[], List]:
-        # Lazy like the local session, and additionally the items are built at
-        # collect time so each task ships the *current* state object (a prior
-        # pending phase on the same part may reassign it).
-        def collect() -> List:
-            items = [(self._payloads[i], self._states[i], fn, delta) for i, delta in tasks]
-            outs = self._backend.map_partitions(_unpinned_phase, items)
-            results: List = []
-            for (i, _), (result, state) in zip(tasks, outs):
-                self._states[i] = state
-                results.append(result)
-            return results
-
-        return collect
 
 
 def numba_available() -> bool:
@@ -656,22 +587,6 @@ class ExecutionBackend:
         """
         return [fn(item) for item in items]
 
-    def map_partitions(self, fn: Callable, items: Sequence) -> List:
-        """Apply ``fn`` to every per-partition task of one superstep, in order.
-
-        This is the intra-graph sharding hook (:mod:`repro.parallel.partitioned`
-        drives it): ``items`` are the per-part tasks of one bulk-synchronous
-        superstep phase. The contract every backend must honour is the
-        determinism rule of the partitioned kernels — each task is a *pure*
-        function of a consistent pre-superstep snapshot of the shared state and
-        computes values only for vertices its part owns, so tasks within one
-        call are independent and any execution order or interleaving yields
-        bit-identical results. The reference executes serially; pooled backends
-        fan the batch out (a distributed backend would pin parts to ranks and
-        implement the surrounding gather/scatter as halo messages).
-        """
-        return [fn(item) for item in items]
-
     def map_partitions_resident(
         self,
         token: str,
@@ -695,8 +610,8 @@ class ExecutionBackend:
         chunked and distributed backends pin part ``i`` to rank process
         ``i % ranks`` over the rank protocol of
         :mod:`repro.parallel.distributed`. Pass ``resident=False`` for the
-        non-resident baseline, which re-ships payload+state every superstep
-        (and accounts it).
+        non-resident baseline: it runs in process on every backend and is
+        charged payload+state out and state back on every superstep.
         """
         return _LocalResidentSession(token, payloads, states, resident=resident)
 
@@ -735,10 +650,9 @@ class ChunkedBackend(ExecutionBackend):
         Target number of flat elements per block (default 32768, about 256 KiB
         of int64 values — comfortably cache-sized).
     processes:
-        Worker-pool width for :meth:`map_graphs` and :meth:`map_partitions`,
-        and the rank count of resident sessions
-        (:meth:`map_partitions_resident`). ``None`` uses the CPU count; 1
-        executes inline.
+        Worker-pool width for :meth:`map_graphs` and the rank count of
+        resident sessions (:meth:`map_partitions_resident`). ``None`` uses the
+        CPU count; 1 executes inline.
     """
 
     name = "chunked"
@@ -930,37 +844,6 @@ class ChunkedBackend(ExecutionBackend):
         """
         return _pool_map(ProcessPoolExecutor, self.processes, fn, items)
 
-    def map_partitions(self, fn: Callable, items: Sequence) -> List:
-        """Fan one superstep's per-part tasks over a *persistent* process pool.
-
-        Unlike :meth:`map_graphs` (one pool per sweep-sized batch), partitioned
-        kernels call this several times per iteration, so the pool is created
-        once per width and reused for the life of the process
-        (:func:`shutdown_partition_pools` tears it down). Single-task batches,
-        one-worker configurations and calls made from inside a pool worker
-        (a partitioned kernel nested under ``map_graphs`` sharding) execute
-        inline.
-        """
-        items = list(items)
-        workers = self.processes if self.processes is not None else max(1, os.cpu_count() or 1)
-        if workers <= 1 or len(items) <= 1 or _in_worker_process():
-            return [fn(item) for item in items]
-        pool = _partition_pool(workers)
-        try:
-            return list(pool.map(fn, items))
-        except BrokenProcessPool:
-            # A worker died (OOM-kill, native crash). A broken executor never
-            # recovers — evict it so this run and every later one get a fresh
-            # pool instead of inheriting a permanently failing one.
-            _evict_partition_pool(workers, pool)
-            fresh = _partition_pool(workers)
-            try:
-                return list(fresh.map(fn, items))
-            except BrokenProcessPool:
-                # The tasks themselves kill workers; don't cache the casualty.
-                _evict_partition_pool(workers, fresh)
-                raise
-
     def map_partitions_resident(
         self,
         token: str,
@@ -973,17 +856,13 @@ class ChunkedBackend(ExecutionBackend):
         The session is the distributed backend's: part ``i`` resides on rank
         process ``i % processes``, whose payload cache is keyed by the layout
         token and persists across sessions, so the per-part CSR is pickled at
-        most once per run. Single-worker configurations, single-part layouts
-        and calls from inside a ``map_graphs`` pool worker fall back to the
-        in-process session; ``resident=False`` selects the non-resident
-        baseline that re-ships payload+state through ``map_partitions`` every
-        superstep.
+        most once per run. Single-worker configurations, single-part layouts,
+        calls from inside a ``map_graphs`` pool worker and the non-resident
+        baseline (``resident=False``) run in the in-process session.
         """
         workers = self.processes if self.processes is not None else max(1, os.cpu_count() or 1)
-        if workers <= 1 or len(payloads) <= 1 or _in_worker_process():
+        if not resident or workers <= 1 or len(payloads) <= 1 or _in_worker_process():
             return _LocalResidentSession(token, payloads, states, resident=resident)
-        if not resident:
-            return _UnpinnedResidentSession(self, token, payloads, states)
         # Looked up by name, as a kernel's ``backend="distributed"`` is. An
         # import would pull the transport's deadline and backoff clocks, which
         # never feed results, into the static determinism scope of
@@ -1012,8 +891,9 @@ class ThreadedBackend(ExecutionBackend):
     Parameters
     ----------
     threads:
-        Worker-pool width for :meth:`map_graphs`. ``None`` uses the CPU count;
-        1 executes inline.
+        Worker-pool width for :meth:`map_graphs` and for the thread pool of
+        resident sessions (:meth:`map_partitions_resident`). ``None`` uses the
+        CPU count; 1 executes inline.
     """
 
     name = "threaded"
@@ -1031,22 +911,6 @@ class ThreadedBackend(ExecutionBackend):
         inline.
         """
         return _pool_map(ThreadPoolExecutor, self.threads, fn, items)
-
-    def map_partitions(self, fn: Callable, items: Sequence) -> List:
-        """Fan one superstep's per-part tasks over a *persistent* thread pool.
-
-        Parts share the caller's address space, so the gathered snapshot arrays
-        are passed by reference and no pickling happens — the cheapest way to
-        shard the supersteps of a partitioned kernel on one host. Like the
-        chunked backend, the pool is reused across supersteps rather than
-        respawned per phase; single-task batches and one-thread configurations
-        execute inline.
-        """
-        items = list(items)
-        workers = self.threads if self.threads is not None else max(1, os.cpu_count() or 1)
-        if workers <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        return list(_partition_thread_pool(workers).map(fn, items))
 
     def map_partitions_resident(
         self,

@@ -1015,16 +1015,19 @@ class DistributedBackend(ExecutionBackend):
     ) -> ResidentSession:
         """Open a rank-pinned session over the socket transport.
 
-        Single-rank configurations, single-part layouts and calls from inside
-        a ``map_graphs`` pool worker fall back to the in-process session
-        (mirroring the chunked backend); ``resident=False`` selects the
-        non-resident accounting baseline, which re-ships payload+state every
-        superstep through ``map_partitions``.
+        Single-rank configurations, single-part layouts, calls from inside a
+        ``map_graphs`` pool worker and the non-resident baseline
+        (``resident=False``) run in the in-process session, mirroring the
+        chunked backend; the baseline is charged payload+state every
+        superstep.
         """
-        if self._nranks() <= 1 or len(payloads) <= 1 or _B._in_worker_process():
+        if (
+            not resident
+            or self._nranks() <= 1
+            or len(payloads) <= 1
+            or _B._in_worker_process()
+        ):
             return _B._LocalResidentSession(token, payloads, states, resident=resident)
-        if not resident:
-            return _B._UnpinnedResidentSession(self, token, payloads, states)
         return _DistributedResidentSession(self.cluster(), token, payloads, states)
 
     def with_jobs(self, jobs: Optional[int]) -> "DistributedBackend":

@@ -100,8 +100,8 @@ per-superstep maximum are identical to the barrier schedule — only
 wall-clock differs.
 
 The three ``partitioned_*`` drivers keep the older modes runnable as CI
-baselines: ``resident=False`` re-ships payload+state every superstep through
-plain ``map_partitions``, ``changed_deltas=False`` selects the full-halo wire
+baselines: ``resident=False`` runs in process and is charged payload+state
+every superstep, ``changed_deltas=False`` selects the full-halo wire
 format (whole halos, worklists re-sent per phase) and ``overlap=False`` the
 barrier schedule. The public kernels (``kk_mis2(partitions=...)`` and
 friends) always run the default mode.

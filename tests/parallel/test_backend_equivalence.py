@@ -169,9 +169,9 @@ def test_experiment_counts_identical_across_all_backends():
 # Partition-equivalence matrix: every registered backend × k ∈ {1, 2, 4, 7} ×
 # {kk, luby, greedy coloring, mis2_agg} must produce output bit-identical to
 # the *unpartitioned* NumPy reference — the intra-graph sharding contract of
-# repro.parallel.partitioned. Pooled backends run with a two-wide pool so the
-# map_partitions fan-out genuinely executes (chunked: persistent process pool;
-# threaded: thread pool).
+# repro.parallel.partitioned. Pooled backends run two wide so the resident
+# session genuinely fans out (chunked and distributed: two rank processes;
+# threaded: a two-thread pool).
 
 #: One instance per registered backend name (including the numpy reference —
 #: here it is the *execution* under test, not the baseline).

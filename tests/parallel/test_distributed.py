@@ -142,11 +142,12 @@ class TestDistributedSession:
             "tok/test-dist/single", payloads[:1], states[:1]
         )
         assert isinstance(single, backends_mod._LocalResidentSession)
-        # The non-resident baseline uses the accounting-only unpinned session.
-        unpinned = get_backend("distributed").map_partitions_resident(
-            "tok/test-dist/unpinned", payloads, states, resident=False
+        # The non-resident baseline runs in process; only its accounting
+        # charges the per-superstep round trip.
+        baseline = get_backend("distributed").map_partitions_resident(
+            "tok/test-dist/nonresident", payloads, states, resident=False
         )
-        assert isinstance(unpinned, backends_mod._UnpinnedResidentSession)
+        assert isinstance(baseline, backends_mod._LocalResidentSession)
 
     def test_with_jobs_reconfigures_ranks(self):
         B = get_backend("distributed")

@@ -17,11 +17,7 @@ from repro.parallel import (
     partitioned_luby_mis1,
     shipped_nbytes,
 )
-from repro.parallel.backends import (
-    _PARTITION_POOLS,
-    _LocalResidentSession,
-    shutdown_partition_pools,
-)
+from repro.parallel.backends import _LocalResidentSession
 from repro.parallel.distributed import (
     _CLUSTERS,
     _DistributedResidentSession,
@@ -187,55 +183,6 @@ class TestDrivers:
         assert coloring.partition_stats is None
 
 
-class TestMapPartitionsSeam:
-    def test_base_backend_is_serial_and_ordered(self):
-        backend = NumpyBackend()
-        assert backend.map_partitions(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-
-    def test_chunked_uses_persistent_pool(self):
-        shutdown_partition_pools()
-        backend = ChunkedBackend(processes=2)
-        assert backend.map_partitions(_double, [1, 2, 3]) == [2, 4, 6]
-        assert list(_PARTITION_POOLS) == [2]
-        pool = _PARTITION_POOLS[2]
-        assert backend.map_partitions(_double, [4, 5, 6]) == [8, 10, 12]
-        assert _PARTITION_POOLS[2] is pool  # reused, not respawned
-        shutdown_partition_pools()
-        assert not _PARTITION_POOLS
-
-    def test_chunked_single_worker_runs_inline(self):
-        shutdown_partition_pools()
-        backend = ChunkedBackend(processes=1)
-        assert backend.map_partitions(_double, [1, 2, 3]) == [2, 4, 6]
-        assert not _PARTITION_POOLS
-
-    def test_threaded_map_partitions(self):
-        backend = get_backend("threaded").with_jobs(2)
-        assert backend.map_partitions(_double, list(range(8))) == [2 * i for i in range(8)]
-
-    def test_nested_inside_pool_worker_runs_inline(self):
-        # A partitioned kernel inside a map_graphs process-pool worker must not
-        # nest a second process pool (cpu^2 oversubscription); parts go inline.
-        backend = ChunkedBackend(processes=2)
-        results = backend.map_graphs(_nested_map_partitions, [1, 2])
-        assert results == [[2, 4, 6], [2, 4, 6]]
-        for pools in backend.map_graphs(_worker_partition_pools, [None, None]):
-            assert pools == []
-
-
-    def test_broken_pool_is_evicted_not_cached(self):
-        from concurrent.futures.process import BrokenProcessPool
-
-        shutdown_partition_pools()
-        backend = ChunkedBackend(processes=2)
-        with pytest.raises(BrokenProcessPool):
-            backend.map_partitions(_kill_worker, [1, 2, 3])
-        # The casualties were evicted, so the next run gets a healthy pool.
-        assert not _PARTITION_POOLS
-        assert backend.map_partitions(_double, [1, 2, 3]) == [2, 4, 6]
-        shutdown_partition_pools()
-
-
 class TestResidentSessions:
     """The rank-resident seam: ship the payload once, deltas per superstep."""
 
@@ -337,16 +284,17 @@ class TestResidentSessions:
         shutdown_rank_clusters()
 
     def test_chunked_nonresident_session_round_trips_state(self):
-        shutdown_partition_pools()
         backend = ChunkedBackend(processes=2)
         payloads, states = self._payloads_states(k=3)
         session = backend.map_partitions_resident(
             "nr", payloads, states, resident=False
         )
+        # The non-resident baseline runs in process; only its accounting
+        # charges the per-superstep round trip.
+        assert isinstance(session, _LocalResidentSession)
         assert session.run(_resident_add, [(0, 1), (1, 2), (2, 3)]) == [1, 3, 5]
         assert session.run(_resident_add, [(0, 4)]) == [5]
         assert session.resident_bytes == 0 and session.superstep_bytes > 0
-        shutdown_partition_pools()
 
     def test_chunked_single_worker_falls_back_inline(self):
         shutdown_rank_clusters()
@@ -357,6 +305,16 @@ class TestResidentSessions:
         assert session.run(_resident_add, [(0, 2), (1, 2)]) == [2, 3]
         assert not _CLUSTERS  # no ranks for an inline session
         assert states[0]["acc"][0] == 2  # genuinely in-process
+
+    def test_session_inside_pool_worker_stays_in_process(self):
+        # A partitioned run inside a map_graphs process-pool worker must not
+        # spawn rank processes of its own (cpu^2 oversubscription); the outer
+        # pool already provides the parallelism.
+        backend = ChunkedBackend(processes=2)
+        for local, outs, clusters in backend.map_graphs(_session_in_worker, [0, 1]):
+            assert local
+            assert outs == [1, 2]
+            assert clusters == []
 
     def test_payload_evicted_by_concurrent_sessions_is_reinstalled(self):
         # Crowd the shared ranks with enough other tokens to push the first
@@ -645,23 +603,13 @@ def _resident_add(payload, state, delta):
     return int(payload["base"][0] + state["acc"][0])
 
 
-def _nested_map_partitions(_):
-    return ChunkedBackend(processes=4).map_partitions(_double, [1, 2, 3])
-
-
-def _kill_worker(_):
-    import os
-
-    os._exit(1)
-
-
-def _worker_partition_pools(_):
-    _nested_map_partitions(None)
-    return list(_PARTITION_POOLS)
-
-
-def _double(x):
-    return x * 2
+def _session_in_worker(_):
+    payloads, states = TestResidentSessions._payloads_states(k=2)
+    backend = ChunkedBackend(processes=2)
+    with backend.map_partitions_resident("in-worker", payloads, states) as session:
+        local = isinstance(session, _LocalResidentSession)
+        outs = session.run(_resident_add, [(0, 1), (1, 1)])
+    return local, outs, sorted(_CLUSTERS)
 
 
 class TestOverlapEqualsBarrier:
